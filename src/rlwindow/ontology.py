@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import BudgetExceeded, ParseError, RLViolation
 
@@ -417,14 +418,16 @@ class NormalizedTBox:
     base: TBox
     entries: tuple[UnfoldedNegative, ...]
 
-    @property
+    @cached_property
     def flattened_negatives(self):
-        out = []
-        for e in self.entries:
-            for b in e.bodies:
-                if b not in out:
-                    out.append(b)
-        return tuple(sorted(out, key=struct_key))
+        """Every rewritten body of every entry, once each, in canonical order.
+
+        Equal subexpressions of the bodies are one shared object, so a
+        matcher can memoize on identity instead of hashing nested bodies.
+        """
+        shared = {}
+        bodies = dict.fromkeys(_share(b, shared) for e in self.entries for b in e.bodies)
+        return tuple(sorted(bodies, key=struct_key))
 
     @property
     def is_exact(self):
@@ -432,6 +435,15 @@ class NormalizedTBox:
 
     def statuses(self):
         return [(e.source, e.status) for e in self.entries]
+
+
+def _share(expr, table):
+    """expr rebuilt from the subexpressions already in table, adding its own."""
+    if isinstance(expr, Conj):
+        expr = Conj(_share(expr.left, table), _share(expr.right, table))
+    elif isinstance(expr, Exists):
+        expr = Exists(expr.role, _share(expr.filler, table))
+    return table.setdefault(expr, expr)
 
 
 def _single_substitutions(expr, cdefs, rdefs):

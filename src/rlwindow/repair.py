@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ontology import ConceptInclusion, ConceptName, Conj, RoleInverse
+from .ontology import ConceptInclusion, ConceptName, Conj
 from .stream import ConceptAtom, MomentaryABox, Occurrence, RoleAtom
-from .window import _DeltaIndex, _Probe, _delta_concept, _delta_role
+from .window import OccurrenceIndex, _Probe, _delta_concept, _delta_role
 
 
 @dataclass(frozen=True)
@@ -51,86 +51,124 @@ class RepairReport:
 # conflict enumeration
 
 
-class _Pool:
-    """Occurrence-set index for support enumeration, asserted facts only."""
+class _Supports:
+    """Support enumeration over the union of a few occurrence indexes.
 
-    def __init__(self, occurrences):
-        self.concepts = {}
-        self.roles = {}
-        self.fwd = {}
-        self.rev = {}
-        for occ in occurrences:
-            a = occ.atom
-            if isinstance(a, ConceptAtom):
-                self.concepts.setdefault(a.concept, {}).setdefault(
-                    a.individual, set()).add(occ.timestamp)
-            else:
-                self.roles.setdefault(a.role, {}).setdefault(
-                    (a.subject, a.obj), set()).add(occ.timestamp)
-                self.fwd.setdefault(a.role, {}).setdefault(a.subject, set()).add(a.obj)
-                self.rev.setdefault(a.role, {}).setdefault(a.obj, set()).add(a.subject)
-
-    def individuals(self):
-        out = set()
-        for by_ind in self.concepts.values():
-            out |= set(by_ind)
-        for by_pair in self.roles.values():
-            for s, o in by_pair:
-                out.add(s)
-                out.add(o)
-        return sorted(out)
-
-    def neighbors(self, rexpr, x):
-        """(y, atom) pairs such that (x, y) is in the rexpr extension."""
-        name = rexpr.name
-        if isinstance(rexpr, RoleInverse):
-            return [(s, RoleAtom(name, s, x)) for s in sorted(self.rev.get(name, {}).get(x, ()))]
-        return [(o, RoleAtom(name, x, o)) for o in sorted(self.fwd.get(name, {}).get(x, ()))]
-
-
-def _supports(expr, x, pool):
-    """Every choice of occurrences placing x in expr under the plain facts.
-
-    Yields occurrence sets; non-minimal combinations are filtered later.
+    A support of expr at x is a set of occurrences placing x in expr under
+    the plain facts; non-minimal supports are filtered by the caller. Both
+    enumerations are memoized for the life of the object, keyed by the
+    identity of the expression: hashing a nested expression walks all of it.
     """
-    if isinstance(expr, ConceptName):
-        for t in sorted(pool.concepts.get(expr.name, {}).get(x, ())):
-            yield frozenset({Occurrence(ConceptAtom(expr.name, x), t)})
-        return
-    if isinstance(expr, Conj):
-        for left in _supports(expr.left, x, pool):
-            for right in _supports(expr.right, x, pool):
-                yield left | right
-        return
-    for y, atom in pool.neighbors(expr.role, x):
-        for t in sorted(pool.roles[atom.role][(atom.subject, atom.obj)]):
-            role_occ = Occurrence(atom, t)
-            for filler in _supports(expr.filler, y, pool):
-                yield filler | {role_occ}
+
+    def __init__(self, pools, delta):
+        self.pools = pools
+        self.delta = delta
+        self._all = {}
+        self._fresh = {}
+
+    def at(self, expr, x):
+        """Every support of expr at x."""
+        key = (id(expr), x)
+        out = self._all.get(key)
+        if out is not None:
+            return out
+        if isinstance(expr, ConceptName):
+            atom = ConceptAtom(expr.name, x)
+            out = {frozenset({Occurrence(atom, t)}) for p in self.pools
+                   for t in p.concepts.get(expr.name, {}).get(x, ())}
+        elif isinstance(expr, Conj):
+            out = set()
+            left = self.at(expr.left, x)
+            if left:
+                right = self.at(expr.right, x)
+                out = {lhs | rhs for lhs in left for rhs in right}
+        else:
+            out = set()
+            for p in self.pools:
+                for y, atom, homes in p.role_neighbors(expr.role, x):
+                    fillers = self.at(expr.filler, y)
+                    if not fillers:
+                        continue
+                    for t in homes:
+                        role_occ = Occurrence(atom, t)
+                        out.update(f | {role_occ} for f in fillers)
+        self._all[key] = out
+        return out
+
+    def fresh(self, expr):
+        """{x: the supports of expr at x that use a delta occurrence}.
+
+        Semi-naive: one position of expr is matched against the delta and
+        the rest against the pools. A conjunction is (fresh left x all
+        right) plus (all left x fresh right); an existential is (fresh role
+        x all filler) plus (any role x fresh filler), the second walked back
+        from the filler member through the inverse role.
+        """
+        out = self._fresh.get(id(expr))
+        if out is not None:
+            return out
+        out = {}
+        if isinstance(expr, ConceptName):
+            for x, tss in self.delta.concepts.get(expr.name, {}).items():
+                atom = ConceptAtom(expr.name, x)
+                out[x] = {frozenset({Occurrence(atom, t)}) for t in tss}
+        elif isinstance(expr, Conj):
+            for x, fresh in self.fresh(expr.left).items():
+                right = self.at(expr.right, x)
+                if right:
+                    out.setdefault(x, set()).update(
+                        lhs | rhs for lhs in fresh for rhs in right)
+            for x, fresh in self.fresh(expr.right).items():
+                left = self.at(expr.left, x)
+                if left:
+                    out.setdefault(x, set()).update(
+                        lhs | rhs for lhs in left for rhs in fresh)
+        else:
+            for x, y, atom, tss in self.delta.role_matches(expr.role):
+                fillers = self.at(expr.filler, y)
+                if not fillers:
+                    continue
+                for t in tss:
+                    role_occ = Occurrence(atom, t)
+                    out.setdefault(x, set()).update(f | {role_occ} for f in fillers)
+            for y, fresh in self.fresh(expr.filler).items():
+                for p in self.pools:
+                    for x, atom, homes in p.role_sources(expr.role, y):
+                        for t in homes:
+                            role_occ = Occurrence(atom, t)
+                            out.setdefault(x, set()).update(f | {role_occ} for f in fresh)
+        self._fresh[id(expr)] = out
+        return out
 
 
 def find_conflicts(current, incoming, ntbox):
-    """Minimal occurrence-set instantiations of any flattened negative body
-    over the surviving asserted occurrences plus the incoming ABox.
+    """The minimal conflicts that use at least one incoming occurrence.
 
+    A conflict is an occurrence-set instantiation of a flattened negative
+    body over the asserted occurrences `current` (an OccurrenceIndex, or any
+    iterable of occurrences) plus the incoming ABox. Only instantiations
+    that use an incoming occurrence are enumerated, and one is dropped when
+    a smaller such instantiation (from any body) is contained in it.
     Distinct timestamped copies of the same atoms give distinct conflicts.
-    Candidates subsumed by a smaller candidate (from any body) are dropped so
-    each result is minimally inconsistent.
+
+    When `current` is conflict-free, every conflict of the union uses an
+    incoming occurrence, so the result is exactly the minimally inconsistent
+    subsets of the union. That always holds on the engine path: survivors of
+    earlier repairs and of expiry are conflict-free.
     """
-    occs = set(current) | incoming.occurrences()
-    pool = _Pool(occs)
-    candidates = []  # (occurrence set, body, binding)
+    if not isinstance(current, OccurrenceIndex):
+        current = OccurrenceIndex(current)
+    delta = OccurrenceIndex(incoming.occurrences())
+    supports = _Supports((current, delta), delta)
+    found = {}  # support -> (body, binding) of its first instantiation
     for body in ntbox.flattened_negatives:
-        for x in pool.individuals():
-            for supp in _supports(body, x, pool):
-                candidates.append((supp, body, x))
-    minimal = []
-    for supp, body, x in candidates:
-        if any(other < supp for other, _, _ in candidates):
-            continue
-        if any(supp == kept.occurrences for kept in minimal):
-            continue
-        minimal.append(ConflictSet(occurrences=supp, violated_body=body, binding=x))
+        by_binding = supports.fresh(body)
+        for x in sorted(by_binding):
+            for supp in by_binding[x]:
+                found.setdefault(supp, (body, x))
+    minimal = [ConflictSet(occurrences=supp, violated_body=body, binding=x)
+               for supp, (body, x) in found.items()
+               if not any(other < supp for other in found)]
     minimal.sort(key=lambda c: sorted(o.sort_key for o in c.occurrences))
     return minimal
 
@@ -190,18 +228,32 @@ def apply_repair(wm, removed, tbox):
     """
     removed = set(removed)
     for occ in removed:
-        tss = wm._asserted.get(occ.atom)
-        if tss is None or occ.timestamp not in tss:
+        if occ.timestamp not in wm._asserted.homes(occ.atom):
             raise ValueError(f"{occ} is not an asserted occurrence of this window")
-        tss.discard(occ.timestamp)
-        if not tss:
-            del wm._asserted[occ.atom]
+    with wm._atomic():
+        for occ in removed:
+            wm._discard(wm._asserted, occ.atom, occ.timestamp)
+        marked = _overdelete(wm, removed, tbox)
+        for occ in sorted(marked, key=lambda o: o.sort_key):
+            wm._delete_occurrence(occ.atom, occ.timestamp)
+        wm.derivation_log = [d for d in wm.derivation_log
+                             if d.head not in marked and not (set(d.body) & marked)]
 
+        # Rederivation: one full pass finds marked occurrences with surviving
+        # support, then the ordinary semi-naive rounds propagate from those.
+        survivors = sorted(wm.occurrences(), key=lambda o: o.sort_key)
+        restored = wm._fixpoint(tbox, survivors, check_negatives=False)
+    return len(marked), len(restored)
+
+
+def _overdelete(wm, removed, tbox):
+    """The removed occurrences plus every derived, unasserted occurrence
+    reachable from them through a derivation, by semi-naive rounds."""
     marked = set(removed)
-    frontier = sorted(removed, key=lambda o: o.sort_key)
+    frontier = removed
     while frontier:
-        dindex = _DeltaIndex(frontier)
-        probe = _Probe(wm)
+        dindex = OccurrenceIndex(frontier)
+        probe = _Probe(wm._index)
         fresh = []
         for ax in tbox.positive_axioms:
             if isinstance(ax, ConceptInclusion):
@@ -218,22 +270,12 @@ def apply_repair(wm, removed, tbox):
                     continue
                 if h not in wm.homes(atom):
                     continue
-                if h in wm._asserted.get(atom, ()):
+                if h in wm._asserted.homes(atom):
                     continue
                 marked.add(occ)
                 fresh.append(occ)
         frontier = fresh
-
-    for occ in sorted(marked, key=lambda o: o.sort_key):
-        wm._delete_occurrence(occ.atom, occ.timestamp)
-    wm.derivation_log = [d for d in wm.derivation_log
-                         if d.head not in marked and not (set(d.body) & marked)]
-
-    # Rederivation: one full pass finds marked occurrences with surviving
-    # support, then the ordinary semi-naive rounds propagate from those.
-    survivors = sorted(wm.occurrences(), key=lambda o: o.sort_key)
-    restored = wm._fixpoint(tbox, survivors, check_negatives=False)
-    return len(marked), len(restored)
+    return marked
 
 
 def add_abox_with_repair(wm, abox, tbox, ntbox):
@@ -243,15 +285,16 @@ def add_abox_with_repair(wm, abox, tbox, ntbox):
     consequences; occurrences removed from the incoming ABox simply never
     enter. Returns (wm, RepairReport).
     """
-    conflicts = find_conflicts(wm.asserted_occurrences(), abox, ntbox)
-    removed = resolve_conflicts(conflicts)
-    existing = frozenset(o for o in removed if o.timestamp < abox.timestamp)
-    overdeleted = rederived = 0
-    if existing:
-        overdeleted, rederived = apply_repair(wm, existing, tbox)
-    dropped_now = {o.atom for o in removed if o.timestamp == abox.timestamp}
-    surviving = MomentaryABox(abox.timestamp, frozenset(abox.atoms - dropped_now))
-    wm.add_abox(surviving, tbox)
+    with wm._atomic():
+        conflicts = find_conflicts(wm._asserted, abox, ntbox)
+        removed = resolve_conflicts(conflicts)
+        existing = frozenset(o for o in removed if o.timestamp < abox.timestamp)
+        overdeleted = rederived = 0
+        if existing:
+            overdeleted, rederived = apply_repair(wm, existing, tbox)
+        dropped_now = {o.atom for o in removed if o.timestamp == abox.timestamp}
+        surviving = MomentaryABox(abox.timestamp, frozenset(abox.atoms - dropped_now))
+        wm.add_abox(surviving, tbox)
     return wm, RepairReport(
         removed=frozenset(removed),
         conflicts=tuple(conflicts),

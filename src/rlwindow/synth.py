@@ -39,8 +39,9 @@ def random_tbox(seed, n_concepts=6, n_roles=3, n_axioms=8, n_negative=2,
     """A small random TBox.
 
     With acyclic=True the positive concept inclusions only define A_i from
-    strictly lower-numbered names, so every defined name has a finite
-    unfolding and the negative closure is exact.
+    strictly lower-numbered names, and a role inclusion only defines r_i
+    from a strictly higher-numbered role (inversion aside), so every defined
+    name has a finite unfolding and the negative closure is exact.
     """
     rng = random.Random(seed)
     concepts = _concept_vocab(n_concepts)
@@ -50,7 +51,11 @@ def random_tbox(seed, n_concepts=6, n_roles=3, n_axioms=8, n_negative=2,
         if roles and rng.random() < 0.2:
             sub = _random_role(rng, roles)
             sup = _random_role(rng, roles)
-            if sub != sup:
+            if acyclic:
+                keep = roles.index(sub.name) > roles.index(sup.name)
+            else:
+                keep = sub != sup
+            if keep:
                 axioms.append(RoleInclusion(sub, sup))
             continue
         if acyclic:

@@ -16,6 +16,7 @@ previous round, probing the rest of the body against the full index.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import StaleTimestamp, UnexpectedInconsistency
@@ -83,20 +84,141 @@ def _merge_ann(dst, src):
             dst[h] = src[h]
 
 
-class _DeltaIndex:
-    """Occurrences added in the previous round, indexed for joining."""
+class OccurrenceIndex:
+    """Home timestamps per concept and role atom, with role adjacency both
+    ways.
 
-    def __init__(self, occurrences):
-        self.concepts = {}
-        self.roles = {}
+    The engine's one index shape: a window's occurrences, its asserted
+    occurrences and the delta of a semi-naive round are each held in one.
+    Emptied entries are removed, so equal contents compare equal.
+    """
+
+    def __init__(self, occurrences=()):
+        self.concepts: dict[str, dict[str, set[Timestamp]]] = {}
+        self.roles: dict[str, dict[tuple[str, str], set[Timestamp]]] = {}
+        self.fwd: dict[str, dict[str, set[str]]] = {}
+        self.rev: dict[str, dict[str, set[str]]] = {}
         for occ in occurrences:
-            a = occ.atom
-            if isinstance(a, ConceptAtom):
-                self.concepts.setdefault(a.concept, {}).setdefault(
-                    a.individual, set()).add(occ.timestamp)
-            else:
-                self.roles.setdefault(a.role, {}).setdefault(
-                    (a.subject, a.obj), set()).add(occ.timestamp)
+            self.add(occ.atom, occ.timestamp)
+
+    def __eq__(self, other):
+        return (isinstance(other, OccurrenceIndex)
+                and (self.concepts, self.roles, self.fwd, self.rev)
+                == (other.concepts, other.roles, other.fwd, other.rev))
+
+    def homes(self, atom):
+        if isinstance(atom, ConceptAtom):
+            return self.concepts.get(atom.concept, {}).get(atom.individual, set())
+        return self.roles.get(atom.role, {}).get((atom.subject, atom.obj), set())
+
+    def add(self, atom, ts):
+        """Insert one occurrence; True when it was not there yet."""
+        if isinstance(atom, ConceptAtom):
+            homes = self.concepts.setdefault(atom.concept, {}).setdefault(
+                atom.individual, set())
+        else:
+            homes = self.roles.setdefault(atom.role, {}).setdefault(
+                (atom.subject, atom.obj), set())
+            if not homes:
+                self.fwd.setdefault(atom.role, {}).setdefault(atom.subject, set()).add(atom.obj)
+                self.rev.setdefault(atom.role, {}).setdefault(atom.obj, set()).add(atom.subject)
+        if ts in homes:
+            return False
+        homes.add(ts)
+        return True
+
+    def discard(self, atom, ts):
+        """Remove one occurrence; True when it was there."""
+        if isinstance(atom, ConceptAtom):
+            by_ind = self.concepts.get(atom.concept, {})
+            homes = by_ind.get(atom.individual)
+            if homes is None or ts not in homes:
+                return False
+            homes.discard(ts)
+            if not homes:
+                del by_ind[atom.individual]
+                if not by_ind:
+                    del self.concepts[atom.concept]
+            return True
+        by_pair = self.roles.get(atom.role, {})
+        homes = by_pair.get((atom.subject, atom.obj))
+        if homes is None or ts not in homes:
+            return False
+        homes.discard(ts)
+        if not homes:
+            del by_pair[(atom.subject, atom.obj)]
+            self._unlink(atom.role, atom.subject, atom.obj)
+            if not by_pair:
+                del self.roles[atom.role]
+        return True
+
+    def _unlink(self, name, s, o):
+        for adj, a, b in ((self.fwd, s, o), (self.rev, o, s)):
+            by_node = adj[name]
+            by_node[a].discard(b)
+            if not by_node[a]:
+                del by_node[a]
+                if not by_node:
+                    del adj[name]
+
+    def drop_before(self, cutoff):
+        """Remove every occurrence homed before the cutoff; return them."""
+        dropped = []
+        for name in list(self.concepts):
+            by_ind = self.concepts[name]
+            for x in list(by_ind):
+                homes = by_ind[x]
+                old = [t for t in homes if t < cutoff]
+                if old:
+                    homes.difference_update(old)
+                    atom = ConceptAtom(name, x)
+                    dropped.extend(Occurrence(atom, t) for t in old)
+                    if not homes:
+                        del by_ind[x]
+            if not by_ind:
+                del self.concepts[name]
+        for name in list(self.roles):
+            by_pair = self.roles[name]
+            for pair in list(by_pair):
+                homes = by_pair[pair]
+                old = [t for t in homes if t < cutoff]
+                if old:
+                    homes.difference_update(old)
+                    atom = RoleAtom(name, *pair)
+                    dropped.extend(Occurrence(atom, t) for t in old)
+                    if not homes:
+                        del by_pair[pair]
+                        self._unlink(name, *pair)
+            if not by_pair:
+                del self.roles[name]
+        return dropped
+
+    def occurrences(self):
+        out = set()
+        for name, by_ind in self.concepts.items():
+            for x, homes in by_ind.items():
+                atom = ConceptAtom(name, x)
+                out.update(Occurrence(atom, t) for t in homes)
+        for name, by_pair in self.roles.items():
+            for (s, o), homes in by_pair.items():
+                atom = RoleAtom(name, s, o)
+                out.update(Occurrence(atom, t) for t in homes)
+        return out
+
+    def size(self):
+        """Number of occurrences held."""
+        return (sum(len(h) for m in self.concepts.values() for h in m.values())
+                + sum(len(h) for m in self.roles.values() for h in m.values()))
+
+    def copy(self):
+        dup = OccurrenceIndex()
+        dup.concepts = {n: {x: set(h) for x, h in m.items()}
+                        for n, m in self.concepts.items()}
+        dup.roles = {n: {p: set(h) for p, h in m.items()}
+                     for n, m in self.roles.items()}
+        dup.fwd = {n: {s: set(o) for s, o in m.items()} for n, m in self.fwd.items()}
+        dup.rev = {n: {o: set(s) for o, s in m.items()} for n, m in self.rev.items()}
+        return dup
 
     def role_matches(self, rexpr):
         """(x, y, atom, timestamps) with the pair oriented per rexpr."""
@@ -109,12 +231,30 @@ class _DeltaIndex:
                 out.append((s, o, atom, tss))
         return sorted(out, key=lambda r: (r[0], r[1]))
 
+    def role_neighbors(self, rexpr, x):
+        """(y, atom, homes) for every pair putting x in the rexpr image."""
+        name = rexpr.name
+        if isinstance(rexpr, RoleName):
+            return [(o, RoleAtom(name, x, o), self.roles[name][(x, o)])
+                    for o in sorted(self.fwd.get(name, {}).get(x, ()))]
+        return [(s, RoleAtom(name, s, x), self.roles[name][(s, x)])
+                for s in sorted(self.rev.get(name, {}).get(x, ()))]
+
+    def role_sources(self, rexpr, y):
+        """(x, atom, homes) for every pair linking x to the filler member y."""
+        name = rexpr.name
+        if isinstance(rexpr, RoleName):
+            return [(s, RoleAtom(name, s, y), self.roles[name][(s, y)])
+                    for s in sorted(self.rev.get(name, {}).get(y, ()))]
+        return [(o, RoleAtom(name, y, o), self.roles[name][(y, o)])
+                for o in sorted(self.fwd.get(name, {}).get(y, ()))]
+
 
 class _Probe:
     """Full-index evaluation with per-round memoization."""
 
-    def __init__(self, model):
-        self.m = model
+    def __init__(self, index):
+        self.index = index
         self.memo = {}
 
     def concept_at(self, expr, x):
@@ -123,7 +263,7 @@ class _Probe:
         if hit is not None:
             return hit
         if isinstance(expr, ConceptName):
-            homes = self.m._concepts.get(expr.name, {}).get(x)
+            homes = self.index.concepts.get(expr.name, {}).get(x)
             out = _atom_ann(ConceptAtom(expr.name, x), homes) if homes else {}
         elif isinstance(expr, Conj):
             left = self.concept_at(expr.left, x)
@@ -134,35 +274,11 @@ class _Probe:
                     out = _minjoin(left, right)
         else:
             out = {}
-            for y, atom, homes in self.role_neighbors(expr.role, x):
+            for y, atom, homes in self.index.role_neighbors(expr.role, x):
                 filler = self.concept_at(expr.filler, y)
                 if filler:
                     _merge_ann(out, _minjoin(_atom_ann(atom, homes), filler))
         self.memo[key] = out
-        return out
-
-    def role_neighbors(self, rexpr, x):
-        """(y, atom, homes) for every pair putting x in the rexpr image."""
-        name = rexpr.name
-        out = []
-        if isinstance(rexpr, RoleName):
-            for o in sorted(self.m._fwd.get(name, {}).get(x, ())):
-                out.append((o, RoleAtom(name, x, o), self.m._roles[name][(x, o)]))
-        else:
-            for s in sorted(self.m._rev.get(name, {}).get(x, ())):
-                out.append((s, RoleAtom(name, s, x), self.m._roles[name][(s, x)]))
-        return out
-
-    def role_sources(self, rexpr, y):
-        """(x, atom, homes) for every pair linking x to the filler member y."""
-        name = rexpr.name
-        out = []
-        if isinstance(rexpr, RoleName):
-            for s in sorted(self.m._rev.get(name, {}).get(y, ())):
-                out.append((s, RoleAtom(name, s, y), self.m._roles[name][(s, y)]))
-        else:
-            for o in sorted(self.m._fwd.get(name, {}).get(y, ())):
-                out.append((o, RoleAtom(name, y, o), self.m._roles[name][(y, o)]))
         return out
 
 
@@ -195,7 +311,7 @@ def _delta_concept(expr, probe, delta):
         if filler:
             _merge_ann(out.setdefault(x, {}), _minjoin(_atom_ann(atom, tss), filler))
     for y, ann in _delta_concept(expr.filler, probe, delta).items():
-        for x, atom, homes in probe.role_sources(expr.role, y):
+        for x, atom, homes in probe.index.role_sources(expr.role, y):
             _merge_ann(out.setdefault(x, {}), _minjoin(_atom_ann(atom, homes), ann))
     return out
 
@@ -213,67 +329,80 @@ def _delta_role(rexpr, delta):
 
 class WindowModel:
     """Mutable materialized state of one window. Single-writer; concurrent
-    readers should work on a copy()."""
+    readers should work on a copy().
+
+    Every public mutation is all-or-nothing: when it raises, the model is
+    left exactly as it was before the call.
+    """
 
     def __init__(self, extent):
         self.extent = extent
         self.entry_timestamps: list[Timestamp] = []
-        self._concepts: dict[str, dict[str, set[Timestamp]]] = {}
-        self._roles: dict[str, dict[tuple[str, str], set[Timestamp]]] = {}
-        self._fwd: dict[str, dict[str, set[str]]] = {}
-        self._rev: dict[str, dict[str, set[str]]] = {}
-        self._asserted: dict[Atom, set[Timestamp]] = {}
+        self._index = OccurrenceIndex()  # every occurrence, asserted or derived
+        self._asserted = OccurrenceIndex()  # the asserted occurrences only
         self.derivation_log: list[Derivation] = []
         self.log_overflow = False
+        # Undo entries (index, atom, timestamp, added) of the open atomic
+        # block, or None outside one.
+        self._journal = None
+
+    # The plain concept and role tables of the full index, for readers of
+    # the model's state.
+
+    @property
+    def _concepts(self):
+        return self._index.concepts
+
+    @property
+    def _roles(self):
+        return self._index.roles
 
     # -- occurrence bookkeeping ------------------------------------------
 
     def homes(self, atom):
-        if isinstance(atom, ConceptAtom):
-            return self._concepts.get(atom.concept, {}).get(atom.individual, set())
-        return self._roles.get(atom.role, {}).get((atom.subject, atom.obj), set())
+        return self._index.homes(atom)
 
     def _insert(self, atom, ts, asserted):
-        if isinstance(atom, ConceptAtom):
-            homes = self._concepts.setdefault(atom.concept, {}).setdefault(
-                atom.individual, set())
-        else:
-            key = (atom.subject, atom.obj)
-            homes = self._roles.setdefault(atom.role, {}).setdefault(key, set())
-            self._fwd.setdefault(atom.role, {}).setdefault(atom.subject, set()).add(atom.obj)
-            self._rev.setdefault(atom.role, {}).setdefault(atom.obj, set()).add(atom.subject)
-        fresh = ts not in homes
-        homes.add(ts)
-        if asserted:
-            self._asserted.setdefault(atom, set()).add(ts)
+        fresh = self._index.add(atom, ts)
+        if fresh and self._journal is not None:
+            self._journal.append((self._index, atom, ts, True))
+        if asserted and self._asserted.add(atom, ts) and self._journal is not None:
+            self._journal.append((self._asserted, atom, ts, True))
         return fresh
 
+    def _discard(self, index, atom, ts):
+        if index.discard(atom, ts) and self._journal is not None:
+            self._journal.append((index, atom, ts, False))
+
     def _delete_occurrence(self, atom, ts):
-        if isinstance(atom, ConceptAtom):
-            by_ind = self._concepts.get(atom.concept, {})
-            homes = by_ind.get(atom.individual, set())
-            homes.discard(ts)
-            if not homes:
-                by_ind.pop(atom.individual, None)
-                if not by_ind:
-                    self._concepts.pop(atom.concept, None)
-        else:
-            key = (atom.subject, atom.obj)
-            by_pair = self._roles.get(atom.role, {})
-            homes = by_pair.get(key, set())
-            homes.discard(ts)
-            if not homes:
-                by_pair.pop(key, None)
-                self._fwd[atom.role][atom.subject].discard(atom.obj)
-                if not self._fwd[atom.role][atom.subject]:
-                    del self._fwd[atom.role][atom.subject]
-                self._rev[atom.role][atom.obj].discard(atom.subject)
-                if not self._rev[atom.role][atom.obj]:
-                    del self._rev[atom.role][atom.obj]
-                if not by_pair:
-                    self._roles.pop(atom.role, None)
-                    self._fwd.pop(atom.role, None)
-                    self._rev.pop(atom.role, None)
+        self._discard(self._index, atom, ts)
+
+    @contextmanager
+    def _atomic(self):
+        """Run the block all-or-nothing: if it raises, every index change,
+        the entries, the extent and the log are rolled back before the
+        exception propagates. A nested block rolls back with the outermost."""
+        if self._journal is not None:
+            yield
+            return
+        journal = self._journal = []
+        saved = (self.extent, list(self.entry_timestamps), self.derivation_log,
+                 len(self.derivation_log), self.log_overflow)
+        try:
+            yield
+        except BaseException:
+            for index, atom, ts, added in reversed(journal):
+                if added:
+                    index.discard(atom, ts)
+                else:
+                    index.add(atom, ts)
+            self.extent, self.entry_timestamps, log, length, self.log_overflow = saved
+            # Appends went to the saved list; filtering made a new one.
+            del log[length:]
+            self.derivation_log = log
+            raise
+        finally:
+            self._journal = None
 
     def _log(self, rule, body, head):
         if len(self.derivation_log) >= LOG_CAP:
@@ -284,20 +413,10 @@ class WindowModel:
     # -- views -------------------------------------------------------------
 
     def occurrences(self):
-        out = set()
-        for name, by_ind in self._concepts.items():
-            for x, homes in by_ind.items():
-                out |= {Occurrence(ConceptAtom(name, x), t) for t in homes}
-        for name, by_pair in self._roles.items():
-            for (s, o), homes in by_pair.items():
-                out |= {Occurrence(RoleAtom(name, s, o), t) for t in homes}
-        return out
+        return self._index.occurrences()
 
     def asserted_occurrences(self):
-        out = set()
-        for atom, tss in self._asserted.items():
-            out |= {Occurrence(atom, t) for t in tss}
-        return out
+        return self._asserted.occurrences()
 
     def attributed(self, atom):
         homes = self.homes(atom)
@@ -306,7 +425,7 @@ class WindowModel:
         return AttributedAtom(
             atom=atom,
             home_timestamps=frozenset(homes),
-            asserted_at=frozenset(self._asserted.get(atom, ())),
+            asserted_at=frozenset(self._asserted.homes(atom)),
         )
 
     def attributed_atoms(self):
@@ -339,13 +458,8 @@ class WindowModel:
     def copy(self):
         dup = WindowModel(self.extent)
         dup.entry_timestamps = list(self.entry_timestamps)
-        dup._concepts = {n: {x: set(h) for x, h in m.items()}
-                         for n, m in self._concepts.items()}
-        dup._roles = {n: {p: set(h) for p, h in m.items()}
-                      for n, m in self._roles.items()}
-        dup._fwd = {n: {s: set(o) for s, o in m.items()} for n, m in self._fwd.items()}
-        dup._rev = {n: {o: set(s) for o, s in m.items()} for n, m in self._rev.items()}
-        dup._asserted = {a: set(t) for a, t in self._asserted.items()}
+        dup._index = self._index.copy()
+        dup._asserted = self._asserted.copy()
         dup.derivation_log = list(self.derivation_log)
         dup.log_overflow = self.log_overflow
         return dup
@@ -364,8 +478,8 @@ class WindowModel:
         inserted = []
         delta = list(delta_occurrences)
         while delta:
-            dindex = _DeltaIndex(delta)
-            probe = _Probe(self)
+            dindex = OccurrenceIndex(delta)
+            probe = _Probe(self._index)
             if check_negatives:
                 self._check_negatives(tbox, dindex, probe)
             additions = []
@@ -373,7 +487,7 @@ class WindowModel:
                 if isinstance(ax, ConceptInclusion):
                     res = _delta_concept(ax.body, probe, dindex)
                     for x in sorted(res):
-                        known = self._concepts.get(ax.head, {}).get(x, ())
+                        known = self._index.concepts.get(ax.head, {}).get(x, ())
                         for h in sorted(res[x]):
                             if h not in known:
                                 additions.append(
@@ -381,7 +495,7 @@ class WindowModel:
                 else:
                     res = _delta_role(ax.sub, dindex)
                     for (x, y) in sorted(res):
-                        known = self._roles.get(ax.sup.name, {}).get((x, y), ())
+                        known = self._index.roles.get(ax.sup.name, {}).get((x, y), ())
                         for h in sorted(res[(x, y)]):
                             if h not in known:
                                 additions.append(
@@ -405,47 +519,23 @@ class WindowModel:
                 f"ABox at {ts} is not newer than loaded entry {self.entry_timestamps[-1]}")
         if not self.extent.contains(ts):
             raise StaleTimestamp(f"ABox at {ts} outside window {self.extent}")
-        self.entry_timestamps.append(ts)
-        seed = []
-        for atom in sorted(abox.atoms, key=lambda a: a.sort_key):
-            if self._insert(atom, ts, asserted=True):
-                seed.append(Occurrence(atom, ts))
-        self._fixpoint(tbox, seed)
+        with self._atomic():
+            self.entry_timestamps.append(ts)
+            seed = []
+            for atom in sorted(abox.atoms, key=lambda a: a.sort_key):
+                if self._insert(atom, ts, asserted=True):
+                    seed.append(Occurrence(atom, ts))
+            self._fixpoint(tbox, seed)
         return self
 
     def drop_before(self, cutoff):
         """Expire every occurrence homed before the cutoff. Pure deletion:
         every surviving home certifies a derivation among survivors."""
         self.entry_timestamps = [t for t in self.entry_timestamps if t >= cutoff]
-        for name in list(self._concepts):
-            by_ind = self._concepts[name]
-            for x in list(by_ind):
-                by_ind[x] = {t for t in by_ind[x] if t >= cutoff}
-                if not by_ind[x]:
-                    del by_ind[x]
-            if not by_ind:
-                del self._concepts[name]
-        for name in list(self._roles):
-            by_pair = self._roles[name]
-            for pair in list(by_pair):
-                by_pair[pair] = {t for t in by_pair[pair] if t >= cutoff}
-                if not by_pair[pair]:
-                    s, o = pair
-                    self._fwd[name][s].discard(o)
-                    if not self._fwd[name][s]:
-                        del self._fwd[name][s]
-                    self._rev[name][o].discard(s)
-                    if not self._rev[name][o]:
-                        del self._rev[name][o]
-                    del by_pair[pair]
-            if not by_pair:
-                del self._roles[name]
-                self._fwd.pop(name, None)
-                self._rev.pop(name, None)
-        for atom in list(self._asserted):
-            self._asserted[atom] = {t for t in self._asserted[atom] if t >= cutoff}
-            if not self._asserted[atom]:
-                del self._asserted[atom]
+        for index in (self._index, self._asserted):
+            dropped = index.drop_before(cutoff)
+            if self._journal is not None:
+                self._journal.extend((index, o.atom, o.timestamp, False) for o in dropped)
         self.derivation_log = [d for d in self.derivation_log
                                if d.head.timestamp >= cutoff]
         if self.extent.start < cutoff <= self.extent.end:
@@ -458,14 +548,16 @@ class WindowModel:
         resolve conflicts and add the abox, returning a report with removals."""
         if new_extent.start < self.extent.start or new_extent.end < self.extent.end:
             raise ValueError("windows only slide forward")
+        with self._atomic():
+            return self._slide(stream, new_extent, tbox, repair)
+
+    def _slide(self, stream, new_extent, tbox, repair):
         report = SlideReport(extent=new_extent)
-        before = sum(len(h) for m in self._concepts.values() for h in m.values())
-        before += sum(len(h) for m in self._roles.values() for h in m.values())
+        before = self._index.size()
         old_end = self.extent.end
         self.drop_before(new_extent.start)
         self.extent = new_extent
-        after = sum(len(h) for m in self._concepts.values() for h in m.values())
-        after += sum(len(h) for m in self._roles.values() for h in m.values())
+        after = self._index.size()
         report.expired_occurrences = before - after
 
         removals = []
@@ -484,9 +576,7 @@ class WindowModel:
                 repair_shrink += getattr(rep, "overdeleted", 0) - getattr(rep, "rederived", 0)
             else:
                 self.add_abox(box, tbox)
-        final = sum(len(h) for m in self._concepts.values() for h in m.values())
-        final += sum(len(h) for m in self._roles.values() for h in m.values())
-        report.added_occurrences = final - after + repair_shrink
+        report.added_occurrences = self._index.size() - after + repair_shrink
         report.removals = tuple(removals)
         return report
 

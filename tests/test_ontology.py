@@ -258,3 +258,12 @@ def test_unfold_deterministic():
     b = unfold_negative_inclusions(tbox, 3)
     assert a.flattened_negatives == b.flattened_negatives
     assert a.statuses() == b.statuses()
+
+
+def test_flattened_negatives_are_built_once_with_shared_parts():
+    ntbox = unfold_negative_inclusions(parse_tbox("B & C < bot\nA & B & C < bot"), 0)
+    bodies = ntbox.flattened_negatives
+    assert bodies is ntbox.flattened_negatives
+    inner = bodies[bodies.index(conj(C("B"), C("C")))]
+    outer = bodies[bodies.index(conj(C("A"), C("B"), C("C")))]
+    assert outer.right is inner

@@ -5,13 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import atoms_of, box, build_window, catom, ext, occ, ratom, ts
+from rlwindow.errors import EngineError, StaleTimestamp, UnexpectedInconsistency
 from rlwindow.interpretation import (Inconsistent, canonical_model,
                                      eval_concept, standard_interpretation)
-from rlwindow.ontology import parse_tbox, unfold_negative_inclusions
+from rlwindow.ontology import (ConceptName, Conj, RoleInverse, parse_tbox,
+                               unfold_negative_inclusions)
 from rlwindow.oracle import definitional_window_repair
 from rlwindow.repair import (ConflictSet, add_abox_with_repair, apply_repair,
                              find_conflicts, resolve_conflicts)
-from rlwindow.stream import MomentaryABox
+from rlwindow.stream import ConceptAtom, MomentaryABox, RoleAtom
 from rlwindow.synth import random_stream, random_tbox
 from rlwindow.window import WindowModel
 
@@ -50,10 +52,12 @@ def test_conflict_min_sets_are_the_oldest_slice():
 
 def test_each_timestamped_copy_is_its_own_conflict():
     ntbox = ntbox_of("A & C < bot")
-    conflicts = find_conflicts({A1, C2}, box(3, catom("C", "a")), ntbox)
+    C1 = occ(catom("C", "a"), 1)
+    A3 = occ(catom("A", "a"), 3)
+    conflicts = find_conflicts({C1, C2}, box(3, catom("A", "a")), ntbox)
     assert {c.occurrences for c in conflicts} == {
-        frozenset({A1, C2}),
-        frozenset({A1, C3}),
+        frozenset({C1, A3}),
+        frozenset({C2, A3}),
     }
 
 
@@ -65,16 +69,27 @@ def test_consistent_union_has_no_conflicts():
 def test_conflicts_are_minimal():
     # A alone already violates; the two-atom superset must not show up.
     ntbox = ntbox_of("A < bot\nA & B < bot")
-    conflicts = find_conflicts({A1, B2}, box(3), ntbox)
-    assert [c.occurrences for c in conflicts] == [frozenset({A1})]
+    conflicts = find_conflicts({B2}, box(3, catom("A", "a")), ntbox)
+    assert [c.occurrences for c in conflicts] == [frozenset({occ(catom("A", "a"), 3)})]
 
 
 def test_role_bodies_pick_up_role_occurrences():
     ntbox = ntbox_of("A & some r . B < bot")
     r_occ = occ(ratom("r", "a", "b"), 2)
-    b_occ = occ(catom("B", "b"), 2)
-    conflicts = find_conflicts({A1, r_occ, b_occ}, box(3), ntbox)
+    b_occ = occ(catom("B", "b"), 3)
+    conflicts = find_conflicts({A1, r_occ}, box(3, catom("B", "b")), ntbox)
     assert [c.occurrences for c in conflicts] == [frozenset({A1, r_occ, b_occ})]
+
+
+def test_conflicts_must_use_an_incoming_occurrence():
+    # The current occurrences already match the body; only the copy that
+    # uses the incoming role assertion is new.
+    ntbox = ntbox_of("A & some r . B < bot")
+    r2 = occ(ratom("r", "a", "b"), 2)
+    r3 = occ(ratom("r", "a", "b"), 3)
+    b1 = occ(catom("B", "b"), 1)
+    conflicts = find_conflicts({A1, b1, r2}, box(3, ratom("r", "a", "b")), ntbox)
+    assert [c.occurrences for c in conflicts] == [frozenset({A1, b1, r3})]
 
 
 # -- resolution ----------------------------------------------------------------
@@ -220,11 +235,21 @@ def test_timestamps_impose_trust_levels(disjoint_tbox):
 
 # -- invariants over random instances ------------------------------------------
 
-def _repaired_build(seed):
+def _repair_tbox(seed):
     tbox = random_tbox(seed, n_concepts=5, n_roles=2, n_axioms=5, n_negative=2)
     # Generated definitions are acyclic, so a generous depth always reaches
     # the exact normal form; the definitional oracle is only comparable then.
-    ntbox = unfold_negative_inclusions(tbox, 16)
+    return tbox, unfold_negative_inclusions(tbox, 16)
+
+
+def test_generated_acyclic_tboxes_unfold_exactly():
+    # Seed 706 once drew r0 < r1 with inv(r1) < r0, a cycle through the roles.
+    inexact = [seed for seed in range(1000) if not _repair_tbox(seed)[1].is_exact]
+    assert inexact == []
+
+
+def _repaired_build(seed):
+    tbox, ntbox = _repair_tbox(seed)
     assert ntbox.is_exact
     stream = random_stream(seed + 1, n_ticks=4, atoms_per_tick=2,
                            n_individuals=2, n_concepts=5, n_roles=2)
@@ -293,3 +318,96 @@ def test_apply_repair_equals_scratch_rebuild(seed):
     for t in sorted(by_ts):
         scratch.add_abox(MomentaryABox(t, frozenset(by_ts[t])), tbox)
     assert wm.occurrences() == scratch.occurrences()
+
+
+def _brute_supports(expr, x, occs):
+    """Every occurrence set placing x in expr, by scanning all of occs."""
+    if isinstance(expr, ConceptName):
+        return [frozenset({o}) for o in occs if o.atom == catom(expr.name, x)]
+    if isinstance(expr, Conj):
+        return [left | right for left in _brute_supports(expr.left, x, occs)
+                for right in _brute_supports(expr.right, x, occs)]
+    out = []
+    for o in occs:
+        if not isinstance(o.atom, RoleAtom) or o.atom.role != expr.role.name:
+            continue
+        s, t = o.atom.subject, o.atom.obj
+        if isinstance(expr.role, RoleInverse):
+            s, t = t, s
+        if s == x:
+            out.extend(f | {o} for f in _brute_supports(expr.filler, t, occs))
+    return out
+
+
+def _brute_conflicts(occs, ntbox):
+    inds = {o.atom.individual for o in occs if isinstance(o.atom, ConceptAtom)}
+    inds |= {i for o in occs if isinstance(o.atom, RoleAtom)
+             for i in (o.atom.subject, o.atom.obj)}
+    found = {supp for body in ntbox.flattened_negatives for x in inds
+             for supp in _brute_supports(body, x, occs)}
+    return {supp for supp in found if not any(other < supp for other in found)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_incoming_conflicts_match_brute_force_enumeration(seed):
+    _, ntbox, _, wm, _ = _repaired_build(seed)
+    current = wm.asserted_occurrences()
+    assert _brute_conflicts(current, ntbox) == set()
+    incoming = random_stream(seed + 2, n_ticks=1, atoms_per_tick=4, n_individuals=2,
+                             n_concepts=5, n_roles=2, start=4, exact=True)[0]
+    expect = _brute_conflicts(current | incoming.occurrences(), ntbox)
+    conflicts = find_conflicts(wm._asserted, incoming, ntbox)
+    assert [c.occurrences for c in conflicts] == sorted(
+        expect, key=lambda s: sorted(o.sort_key for o in s))
+    assert find_conflicts(current, incoming, ntbox) == conflicts
+
+
+def test_failed_repairing_add_leaves_the_model_as_it_was():
+    # The rewrite stops at depth 1, so the two-step r-chain from B(x0) to
+    # A(x2) escapes conflict detection and the add raises, after repair has
+    # already retracted B(x9) for the detected clash with A(x9).
+    tbox = parse_tbox("some r . A < A\nA & B < bot")
+    ntbox = unfold_negative_inclusions(tbox, 1)
+    wm = build_window(ext(0, 3), [
+        box(0, catom("B", "x0"), catom("B", "x9")),
+        box(1, ratom("r", "x0", "x1"), ratom("r", "x1", "x2"))], tbox)
+    before = wm.copy()
+    with pytest.raises(UnexpectedInconsistency):
+        add_abox_with_repair(wm, box(2, catom("A", "x2"), catom("A", "x9")), tbox, ntbox)
+    assert vars(wm) == vars(before)
+
+
+def test_stale_repairing_add_retracts_nothing():
+    tbox = parse_tbox("A & B < bot")
+    ntbox = unfold_negative_inclusions(tbox, 3)
+    wm = build_window(ext(0, 3), [box(1, catom("A", "a")), box(2, catom("C", "a"))], tbox)
+    before = wm.copy()
+    with pytest.raises(StaleTimestamp):
+        add_abox_with_repair(wm, box(2, catom("B", "a")), tbox, ntbox)
+    assert vars(wm) == vars(before)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=0, max_value=2))
+def test_raising_repair_operations_change_nothing(seed, depth):
+    # Cyclic TBoxes with a shallow rewrite let some conflicts through to the
+    # materialization, which then raises.
+    tbox = random_tbox(seed, n_concepts=4, n_roles=2, n_axioms=6, n_negative=2,
+                       acyclic=False)
+    ntbox = unfold_negative_inclusions(tbox, depth)
+    stream = random_stream(seed + 1, n_ticks=6, atoms_per_tick=3,
+                           n_individuals=2, n_concepts=4, n_roles=2)
+    wm = WindowModel(ext(0, 2))
+    for b in stream[:3]:
+        before = wm.copy()
+        try:
+            add_abox_with_repair(wm, b, tbox, ntbox)
+        except EngineError:
+            assert vars(wm) == vars(before)
+    before = wm.copy()
+    hook = lambda model, b: add_abox_with_repair(model, b, tbox, ntbox)[1]
+    try:
+        wm.slide(stream, ext(2, 5), tbox, repair=hook)
+    except EngineError:
+        assert vars(wm) == vars(before)

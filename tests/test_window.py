@@ -97,6 +97,52 @@ def test_add_raises_on_negative_inclusion():
         wm.add_abox(box(2, catom("B", "a")), tbox)
 
 
+def test_failed_add_leaves_the_model_as_it_was():
+    # The clash surfaces only in the second round, after D(a) was derived.
+    tbox = parse_tbox("A < D\nD & B < bot")
+    wm = init_window_model(ext(0, 2))
+    wm.add_abox(box(1, catom("B", "a")), tbox)
+    before = wm.copy()
+    with pytest.raises(UnexpectedInconsistency):
+        wm.add_abox(box(2, catom("A", "a"), catom("C", "a")), tbox)
+    assert vars(wm) == vars(before)
+    assert wm.entry_timestamps == [ts(1)]
+    assert not wm.entails(catom("A", "a")) and not wm.entails(catom("D", "a"))
+    assert wm.asserted_occurrences() == {occ(catom("B", "a"), 1)}
+
+
+def test_failed_slide_undoes_expiry_and_earlier_ticks():
+    tbox = parse_tbox("A & B < bot\nA < C")
+    stream = [box(0, catom("A", "b")), box(1, catom("A", "a")),
+              box(2, catom("A", "c")), box(3, catom("B", "a"))]
+    wm = build_window(ext(0, 1), stream, tbox)
+    before = wm.copy()
+    with pytest.raises(UnexpectedInconsistency):
+        wm.slide(stream, ext(1, 3), tbox)
+    assert vars(wm) == vars(before)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_raising_operations_change_nothing(seed):
+    tbox = random_tbox(seed, n_concepts=4, n_roles=2, n_axioms=6, n_negative=2,
+                       acyclic=False)
+    stream = random_stream(seed + 1, n_ticks=6, atoms_per_tick=3,
+                           n_individuals=2, n_concepts=4, n_roles=2)
+    wm = WindowModel(ext(0, 2))
+    for b in stream[:3]:
+        before = wm.copy()
+        try:
+            wm.add_abox(b, tbox)
+        except UnexpectedInconsistency:
+            assert vars(wm) == vars(before)
+    before = wm.copy()
+    try:
+        wm.slide(stream, ext(2, 5), tbox)
+    except UnexpectedInconsistency:
+        assert vars(wm) == vars(before)
+
+
 def test_same_round_derivations_share_the_tick():
     tbox = parse_tbox("A < B\nB < C")
     wm = init_window_model(ext(0, 1))
