@@ -20,8 +20,6 @@ from .repair import (ConflictSet, RepairReport, add_abox_with_repair,
 from .stream import (ConceptAtom, MomentaryABox, Occurrence, RoleAtom,
                      Timestamp, WindowExtent, WindowSpec, parse_atom,
                      parse_stream, window_abox, window_extents)
-from .window import (AttributedAtom, SlideReport, WindowModel, add_abox,
-                     drop_before, entails, init_window_model, slide,
-                     window_interpretation)
+from .window import AttributedAtom, SlideReport, WindowModel
 
 __all__ = [n for n in dir() if not n.startswith("_")]

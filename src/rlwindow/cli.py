@@ -63,6 +63,14 @@ def _build_window(extent, stream, tbox, ntbox, repair):
     return wm, removals
 
 
+class _Labels(dict):
+    """Printed text of each timestamp, formatted on first use."""
+
+    def __missing__(self, ts):
+        text = self[ts] = str(ts)
+        return text
+
+
 def run(config, out=None, err=None):
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
@@ -104,6 +112,7 @@ def run(config, out=None, err=None):
 
     wm = None
     prev_atoms = frozenset()
+    labels = _Labels()
     try:
         for extent in extents:
             lines = [f"WINDOW {extent}"]
@@ -130,10 +139,10 @@ def run(config, out=None, err=None):
 
             if config.emit == "window":
                 for att in wm.attributed_atoms():
-                    homes = ",".join(str(t) for t in sorted(att.home_timestamps))
+                    homes = ",".join(map(labels.__getitem__, sorted(att.home_timestamps)))
                     lines.append(f"{att.atom} @ {{{homes}}}")
                 for occ in sorted(removals, key=lambda o: o.sort_key):
-                    lines.append(f"REMOVED {occ.timestamp} {occ.atom}")
+                    lines.append(f"REMOVED {labels[occ.timestamp]} {occ.atom}")
             else:
                 atoms = frozenset(wm.window_interpretation().atoms())
                 for a in sorted(prev_atoms - atoms, key=lambda a: a.sort_key):

@@ -525,8 +525,3 @@ def unfold_negative_inclusions(tbox, max_depth, body_cap=10_000):
         ))
     return NormalizedTBox(base=tbox, entries=tuple(entries))
 
-
-def nonrecursive_report(tbox, max_depth):
-    """Status per negative inclusion: Exact when its rewrite closes within
-    max_depth passes, Truncated otherwise."""
-    return unfold_negative_inclusions(tbox, max_depth).statuses()

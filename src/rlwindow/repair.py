@@ -234,16 +234,13 @@ def apply_repair(wm, removed, tbox):
         for occ in removed:
             wm._discard(wm._asserted, occ.atom, occ.timestamp)
         marked = _overdelete(wm, removed, tbox)
-        for occ in sorted(marked, key=lambda o: o.sort_key):
+        for occ in marked:
             wm._delete_occurrence(occ.atom, occ.timestamp)
-        wm.derivation_log = [d for d in wm.derivation_log
-                             if d.head not in marked and not (set(d.body) & marked)]
 
         # Rederivation: one full pass finds marked occurrences with surviving
         # support, then the ordinary semi-naive rounds propagate from those.
-        survivors = sorted(wm.occurrences(), key=lambda o: o.sort_key)
-        restored = wm._fixpoint(tbox, survivors, check_negatives=False)
-    return len(marked), len(restored)
+        restored = wm._fixpoint(tbox, wm._index.copy(), check_negatives=False)
+    return len(marked), restored
 
 
 def _overdelete(wm, removed, tbox):

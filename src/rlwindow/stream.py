@@ -1,8 +1,8 @@
 """Timestamped assertions, momentary ABoxes, streams, and window extents.
 
 Timestamps are fixed-point numbers with six fractional digits stored as
-a scaled 64-bit integer, so ordering and window arithmetic are exact and
-two distinct stream ticks always differ by at least one unit.
+an integer count of micro-units, so ordering and window arithmetic are
+exact and two distinct stream ticks always differ by at least one unit.
 """
 
 from __future__ import annotations
@@ -18,9 +18,18 @@ _TS_RE = re.compile(r"^[+-]?\d+(?:\.\d{1,6})?$")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
-@dataclass(frozen=True, order=True)
-class Timestamp:
-    micros: int
+class Timestamp(int):
+    """A time as a whole number of micro-units. Comparison, hashing and
+    sorting are the native integer ones; text and sums keep the type."""
+
+    __slots__ = ()
+
+    def __new__(cls, micros):
+        return super().__new__(cls, micros)
+
+    @property
+    def micros(self):
+        return int(self)
 
     @classmethod
     def parse(cls, text, line=None):
@@ -48,17 +57,20 @@ class Timestamp:
         raise TypeError(f"cannot make a Timestamp from {value!r}")
 
     def __str__(self):
-        sign = "-" if self.micros < 0 else ""
-        whole, frac = divmod(abs(self.micros), MICROS)
+        sign = "-" if self < 0 else ""
+        whole, frac = divmod(abs(self), MICROS)
         if frac == 0:
             return f"{sign}{whole}"
         return f"{sign}{whole}.{frac:06d}".rstrip("0")
 
+    def __repr__(self):
+        return f"Timestamp(micros={int(self)})"
+
     def __add__(self, other):
-        return Timestamp(self.micros + other.micros)
+        return Timestamp(int(self) + other)
 
     def __sub__(self, other):
-        return Timestamp(self.micros - other.micros)
+        return Timestamp(int(self) - other)
 
 
 @dataclass(frozen=True)
@@ -139,7 +151,7 @@ class WindowSpec:
     origin: Timestamp
 
     def __post_init__(self):
-        if self.width.micros <= 0 or self.slide.micros <= 0:
+        if self.width <= 0 or self.slide <= 0:
             raise ValueError("window width and slide must be positive")
         if self.slide > self.width:
             raise ValueError("slide must not exceed width")
@@ -207,7 +219,7 @@ def window_extents(spec, horizon):
     out = []
     k = 0
     while True:
-        end = Timestamp(spec.origin.micros + k * spec.slide.micros)
+        end = Timestamp(spec.origin + k * spec.slide)
         if end > horizon:
             break
         out.append(WindowExtent(end - spec.width, end))

@@ -16,16 +16,16 @@ previous round, probing the rest of the body against the full index.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 
 from .errors import StaleTimestamp, UnexpectedInconsistency
 from .interpretation import Interpretation
 from .ontology import ConceptInclusion, ConceptName, Conj, RoleInverse, RoleName
 from .stream import (Atom, ConceptAtom, Occurrence, RoleAtom, Timestamp,
                      WindowExtent)
-
-LOG_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -37,13 +37,6 @@ class AttributedAtom:
     @property
     def origin(self):
         return "asserted" if self.asserted_at else "derived"
-
-
-@dataclass(frozen=True)
-class Derivation:
-    rule: object
-    body: tuple[Occurrence, ...]
-    head: Occurrence
 
 
 @dataclass
@@ -58,30 +51,27 @@ class SlideReport:
 # ---------------------------------------------------------------------------
 # timestamp-annotated evaluation
 #
-# An annotation maps an achievable home timestamp to one sample witness, the
-# tuple of occurrences instantiating the body. Joining two annotations takes
-# min(h1, h2) over all pairs, which is exactly the set of minima reachable by
-# choosing one occurrence per ground atom.
-
-
-def _atom_ann(atom, timestamps):
-    return {t: (Occurrence(atom, t),) for t in sorted(timestamps)}
+# An annotation is the set of achievable homes of a body instantiation: the
+# minima reachable by choosing one occurrence per ground atom. A ground atom's
+# annotation is its set of homes; joining two annotations takes min(h1, h2)
+# over all pairs, and alternative instantiations merge by union.
 
 
 def _minjoin(a, b):
-    out = {}
-    for h1 in sorted(a):
-        for h2 in sorted(b):
-            h = h1 if h1 <= h2 else h2
-            if h not in out:
-                out[h] = a[h1] + b[h2]
-    return out
+    """{min(x, y) for x in a for y in b}, for non-empty a and b, in linear
+    time: x is a minimum exactly when some y is at least x, that is when x
+    is at most max(b), and likewise for y."""
+    top_a, top_b = max(a), max(b)
+    return {x for x in a if x <= top_b} | {y for y in b if y <= top_a}
 
 
-def _merge_ann(dst, src):
-    for h in sorted(src):
-        if h not in dst:
-            dst[h] = src[h]
+def _merge_ann(out, key, ann):
+    """Union a freshly built annotation into out[key]."""
+    have = out.get(key)
+    if have is None:
+        out[key] = ann
+    else:
+        have |= ann
 
 
 class OccurrenceIndex:
@@ -90,7 +80,8 @@ class OccurrenceIndex:
 
     The engine's one index shape: a window's occurrences, its asserted
     occurrences and the delta of a semi-naive round are each held in one.
-    Emptied entries are removed, so equal contents compare equal.
+    Emptied entries are removed, so equal contents compare equal. The number
+    of occurrences held is kept up to date by every insertion and removal.
     """
 
     def __init__(self, occurrences=()):
@@ -98,6 +89,7 @@ class OccurrenceIndex:
         self.roles: dict[str, dict[tuple[str, str], set[Timestamp]]] = {}
         self.fwd: dict[str, dict[str, set[str]]] = {}
         self.rev: dict[str, dict[str, set[str]]] = {}
+        self._size = 0
         for occ in occurrences:
             self.add(occ.atom, occ.timestamp)
 
@@ -125,6 +117,7 @@ class OccurrenceIndex:
         if ts in homes:
             return False
         homes.add(ts)
+        self._size += 1
         return True
 
     def discard(self, atom, ts):
@@ -135,6 +128,7 @@ class OccurrenceIndex:
             if homes is None or ts not in homes:
                 return False
             homes.discard(ts)
+            self._size -= 1
             if not homes:
                 del by_ind[atom.individual]
                 if not by_ind:
@@ -145,6 +139,7 @@ class OccurrenceIndex:
         if homes is None or ts not in homes:
             return False
         homes.discard(ts)
+        self._size -= 1
         if not homes:
             del by_pair[(atom.subject, atom.obj)]
             self._unlink(atom.role, atom.subject, atom.obj)
@@ -191,6 +186,7 @@ class OccurrenceIndex:
                         self._unlink(name, *pair)
             if not by_pair:
                 del self.roles[name]
+        self._size -= len(dropped)
         return dropped
 
     def occurrences(self):
@@ -207,8 +203,7 @@ class OccurrenceIndex:
 
     def size(self):
         """Number of occurrences held."""
-        return (sum(len(h) for m in self.concepts.values() for h in m.values())
-                + sum(len(h) for m in self.roles.values() for h in m.values()))
+        return self._size
 
     def copy(self):
         dup = OccurrenceIndex()
@@ -218,6 +213,7 @@ class OccurrenceIndex:
                      for n, m in self.roles.items()}
         dup.fwd = {n: {s: set(o) for s, o in m.items()} for n, m in self.fwd.items()}
         dup.rev = {n: {o: set(s) for o, s in m.items()} for n, m in self.rev.items()}
+        dup._size = self._size
         return dup
 
     def role_matches(self, rexpr):
@@ -263,64 +259,58 @@ class _Probe:
         if hit is not None:
             return hit
         if isinstance(expr, ConceptName):
-            homes = self.index.concepts.get(expr.name, {}).get(x)
-            out = _atom_ann(ConceptAtom(expr.name, x), homes) if homes else {}
+            out = self.index.concepts.get(expr.name, {}).get(x) or set()
         elif isinstance(expr, Conj):
             left = self.concept_at(expr.left, x)
-            out = {}
+            out = set()
             if left:
                 right = self.concept_at(expr.right, x)
                 if right:
                     out = _minjoin(left, right)
         else:
-            out = {}
-            for y, atom, homes in self.index.role_neighbors(expr.role, x):
+            out = set()
+            for y, _, homes in self.index.role_neighbors(expr.role, x):
                 filler = self.concept_at(expr.filler, y)
                 if filler:
-                    _merge_ann(out, _minjoin(_atom_ann(atom, homes), filler))
+                    out |= _minjoin(homes, filler)
         self.memo[key] = out
         return out
 
 
 def _delta_concept(expr, probe, delta):
-    """Annotated members of expr whose instantiation uses a delta occurrence.
+    """{x: annotation} for the members x of expr whose instantiation uses a
+    delta occurrence. The annotations must not be mutated: a bare concept
+    name hands out the delta's own home sets.
 
     May also report instantiations already derivable without the delta; the
     caller deduplicates against the index, so that is harmless.
     """
     if isinstance(expr, ConceptName):
-        out = {}
-        for x in sorted(delta.concepts.get(expr.name, {})):
-            tss = delta.concepts[expr.name][x]
-            out[x] = _atom_ann(ConceptAtom(expr.name, x), tss)
-        return out
+        return delta.concepts.get(expr.name, {})
+    out = {}
     if isinstance(expr, Conj):
-        out = {}
         for x, ann in _delta_concept(expr.left, probe, delta).items():
             other = probe.concept_at(expr.right, x)
             if other:
-                _merge_ann(out.setdefault(x, {}), _minjoin(ann, other))
+                _merge_ann(out, x, _minjoin(ann, other))
         for x, ann in _delta_concept(expr.right, probe, delta).items():
             other = probe.concept_at(expr.left, x)
             if other:
-                _merge_ann(out.setdefault(x, {}), _minjoin(other, ann))
+                _merge_ann(out, x, _minjoin(other, ann))
         return out
-    out = {}
-    for x, y, atom, tss in delta.role_matches(expr.role):
+    for x, y, _, tss in delta.role_matches(expr.role):
         filler = probe.concept_at(expr.filler, y)
         if filler:
-            _merge_ann(out.setdefault(x, {}), _minjoin(_atom_ann(atom, tss), filler))
+            _merge_ann(out, x, _minjoin(tss, filler))
     for y, ann in _delta_concept(expr.filler, probe, delta).items():
-        for x, atom, homes in probe.index.role_sources(expr.role, y):
-            _merge_ann(out.setdefault(x, {}), _minjoin(_atom_ann(atom, homes), ann))
+        for x, _, homes in probe.index.role_sources(expr.role, y):
+            _merge_ann(out, x, _minjoin(homes, ann))
     return out
 
 
 def _delta_role(rexpr, delta):
-    out = {}
-    for x, y, atom, tss in delta.role_matches(rexpr):
-        out[(x, y)] = _atom_ann(atom, tss)
-    return out
+    """{(x, y): homes} for the delta pairs in the rexpr image."""
+    return {(x, y): tss for x, y, _, tss in delta.role_matches(rexpr)}
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +330,6 @@ class WindowModel:
         self.entry_timestamps: list[Timestamp] = []
         self._index = OccurrenceIndex()  # every occurrence, asserted or derived
         self._asserted = OccurrenceIndex()  # the asserted occurrences only
-        self.derivation_log: list[Derivation] = []
-        self.log_overflow = False
         # Undo entries (index, atom, timestamp, added) of the open atomic
         # block, or None outside one.
         self._journal = None
@@ -380,14 +368,13 @@ class WindowModel:
     @contextmanager
     def _atomic(self):
         """Run the block all-or-nothing: if it raises, every index change,
-        the entries, the extent and the log are rolled back before the
-        exception propagates. A nested block rolls back with the outermost."""
+        the entries and the extent are rolled back before the exception
+        propagates. A nested block rolls back with the outermost."""
         if self._journal is not None:
             yield
             return
         journal = self._journal = []
-        saved = (self.extent, list(self.entry_timestamps), self.derivation_log,
-                 len(self.derivation_log), self.log_overflow)
+        saved = (self.extent, list(self.entry_timestamps))
         try:
             yield
         except BaseException:
@@ -396,19 +383,10 @@ class WindowModel:
                     index.discard(atom, ts)
                 else:
                     index.add(atom, ts)
-            self.extent, self.entry_timestamps, log, length, self.log_overflow = saved
-            # Appends went to the saved list; filtering made a new one.
-            del log[length:]
-            self.derivation_log = log
+            self.extent, self.entry_timestamps = saved
             raise
         finally:
             self._journal = None
-
-    def _log(self, rule, body, head):
-        if len(self.derivation_log) >= LOG_CAP:
-            self.log_overflow = True
-            return
-        self.derivation_log.append(Derivation(rule, body, head))
 
     # -- views -------------------------------------------------------------
 
@@ -429,8 +407,19 @@ class WindowModel:
         )
 
     def attributed_atoms(self):
-        seen = {o.atom for o in self.occurrences()}
-        return [self.attributed(a) for a in sorted(seen, key=lambda a: a.sort_key)]
+        """Every atom of the window with its homes, in atom sort order."""
+        rows = []
+        for name, by_ind in self._index.concepts.items():
+            asserted = self._asserted.concepts.get(name, {})
+            rows.extend(((name, x), ConceptAtom(name, x), homes, asserted.get(x, ()))
+                        for x, homes in by_ind.items())
+        for name, by_pair in self._index.roles.items():
+            asserted = self._asserted.roles.get(name, {})
+            rows.extend(((name, *pair), RoleAtom(name, *pair), homes, asserted.get(pair, ()))
+                        for pair, homes in by_pair.items())
+        rows.sort(key=itemgetter(0))
+        return [AttributedAtom(atom, frozenset(homes), frozenset(at))
+                for _, atom, homes, at in rows]
 
     def window_interpretation(self):
         concepts = {n: set(by_ind) for n, by_ind in self._concepts.items()}
@@ -460,8 +449,6 @@ class WindowModel:
         dup.entry_timestamps = list(self.entry_timestamps)
         dup._index = self._index.copy()
         dup._asserted = self._asserted.copy()
-        dup.derivation_log = list(self.derivation_log)
-        dup.log_overflow = self.log_overflow
         return dup
 
     # -- reasoning ----------------------------------------------------------
@@ -472,41 +459,36 @@ class WindowModel:
             if hit:
                 raise UnexpectedInconsistency(ax, min(hit))
 
-    def _fixpoint(self, tbox, delta_occurrences, check_negatives=True):
+    def _fixpoint(self, tbox, delta, check_negatives=True):
         """Close the index under the positive axioms, semi-naive from the
-        given seed occurrences. Returns every occurrence inserted."""
-        inserted = []
-        delta = list(delta_occurrences)
-        while delta:
-            dindex = OccurrenceIndex(delta)
+        seed occurrences in the OccurrenceIndex delta. Returns the number of
+        occurrences inserted."""
+        inserted = 0
+        while delta.size():
             probe = _Probe(self._index)
             if check_negatives:
-                self._check_negatives(tbox, dindex, probe)
+                self._check_negatives(tbox, delta, probe)
             additions = []
             for ax in tbox.positive_axioms:
                 if isinstance(ax, ConceptInclusion):
-                    res = _delta_concept(ax.body, probe, dindex)
-                    for x in sorted(res):
-                        known = self._index.concepts.get(ax.head, {}).get(x, ())
-                        for h in sorted(res[x]):
-                            if h not in known:
-                                additions.append(
-                                    (ax, ConceptAtom(ax.head, x), h, res[x][h]))
+                    res = _delta_concept(ax.body, probe, delta)
+                    known = self._index.concepts.get(ax.head, {})
+                    for x, homes in res.items():
+                        have = known.get(x, ())
+                        additions.extend((ConceptAtom(ax.head, x), h)
+                                         for h in homes if h not in have)
                 else:
-                    res = _delta_role(ax.sub, dindex)
-                    for (x, y) in sorted(res):
-                        known = self._index.roles.get(ax.sup.name, {}).get((x, y), ())
-                        for h in sorted(res[(x, y)]):
-                            if h not in known:
-                                additions.append(
-                                    (ax, RoleAtom(ax.sup.name, x, y), h, res[(x, y)][h]))
-            delta = []
-            for rule, atom, h, witness in additions:
+                    res = _delta_role(ax.sub, delta)
+                    known = self._index.roles.get(ax.sup.name, {})
+                    for (x, y), homes in res.items():
+                        have = known.get((x, y), ())
+                        additions.extend((RoleAtom(ax.sup.name, x, y), h)
+                                         for h in homes if h not in have)
+            delta = OccurrenceIndex()
+            for atom, h in additions:
                 if self._insert(atom, h, asserted=False):
-                    occ = Occurrence(atom, h)
-                    self._log(rule, witness, occ)
-                    delta.append(occ)
-            inserted.extend(delta)
+                    delta.add(atom, h)
+            inserted += delta.size()
         return inserted
 
     def add_abox(self, abox, tbox):
@@ -521,10 +503,10 @@ class WindowModel:
             raise StaleTimestamp(f"ABox at {ts} outside window {self.extent}")
         with self._atomic():
             self.entry_timestamps.append(ts)
-            seed = []
-            for atom in sorted(abox.atoms, key=lambda a: a.sort_key):
+            seed = OccurrenceIndex()
+            for atom in abox.atoms:
                 if self._insert(atom, ts, asserted=True):
-                    seed.append(Occurrence(atom, ts))
+                    seed.add(atom, ts)
             self._fixpoint(tbox, seed)
         return self
 
@@ -536,15 +518,15 @@ class WindowModel:
             dropped = index.drop_before(cutoff)
             if self._journal is not None:
                 self._journal.extend((index, o.atom, o.timestamp, False) for o in dropped)
-        self.derivation_log = [d for d in self.derivation_log
-                               if d.head.timestamp >= cutoff]
         if self.extent.start < cutoff <= self.extent.end:
             self.extent = WindowExtent(cutoff, self.extent.end)
         return self
 
     def slide(self, stream, new_extent, tbox, repair=None):
         """Advance to a newer extent: expire, then ingest the fresh ticks in
-        order. The optional repair hook takes (model, abox) and is expected to
+        order. The stream is a sequence of momentary ABoxes in increasing
+        timestamp order; the fresh ones are found by bisection, so a slide
+        reads O(log n) boxes besides the ones it ingests. The optional repair hook takes (model, abox) and is expected to
         resolve conflicts and add the abox, returning a report with removals."""
         if new_extent.start < self.extent.start or new_extent.end < self.extent.end:
             raise ValueError("windows only slide forward")
@@ -562,11 +544,13 @@ class WindowModel:
 
         removals = []
         repair_shrink = 0
-        for box in stream:
-            if box.timestamp <= old_end or box.timestamp > new_extent.end:
-                continue
-            if box.timestamp < new_extent.start:
-                continue
+        key = attrgetter("timestamp")
+        first = max(bisect_right(stream, old_end, key=key),
+                    bisect_left(stream, new_extent.start, key=key))
+        for i in range(first, len(stream)):
+            box = stream[i]
+            if box.timestamp > new_extent.end:
+                break
             if repair is not None:
                 rep = repair(self, box)
                 removals.extend(sorted(rep.removed, key=lambda o: o.sort_key))
@@ -579,30 +563,3 @@ class WindowModel:
         report.added_occurrences = self._index.size() - after + repair_shrink
         report.removals = tuple(removals)
         return report
-
-
-# Functional aliases matching the operation names used elsewhere.
-
-
-def init_window_model(extent):
-    return WindowModel(extent)
-
-
-def add_abox(wm, abox, tbox):
-    return wm.add_abox(abox, tbox)
-
-
-def drop_before(wm, cutoff):
-    return wm.drop_before(cutoff)
-
-
-def slide(wm, stream, new_extent, tbox, repair=None):
-    return wm, wm.slide(stream, new_extent, tbox, repair=repair)
-
-
-def window_interpretation(wm):
-    return wm.window_interpretation()
-
-
-def entails(wm, atom):
-    return wm.entails(atom)

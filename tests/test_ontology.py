@@ -7,8 +7,7 @@ from rlwindow.ontology import (ConceptInclusion, ConceptName, Conj, Exact,
                                Exists, NegativeInclusion, RoleInclusion,
                                RoleInverse, RoleName, TBox, Truncated,
                                canonicalize, format_axiom, format_tbox,
-                               parse_tbox, nonrecursive_report,
-                               unfold_negative_inclusions)
+                               parse_tbox, unfold_negative_inclusions)
 from rlwindow.synth import random_tbox
 
 
@@ -224,14 +223,14 @@ def test_unfold_multiple_definitions_multiply():
 
 
 def test_nonrecursive_report_statuses():
-    assert nonrecursive_report(parse_tbox("A & C < bot"), 3) == [
+    assert unfold_negative_inclusions(parse_tbox("A & C < bot"), 3).statuses() == [
         (NegativeInclusion(canonicalize(conj(C("A"), C("C")))), Exact()),
     ]
-    report = nonrecursive_report(parse_tbox("some R . B < B\nA & B < bot"), 5)
-    assert report[0][1] == Truncated(5)
-    report = nonrecursive_report(
+    ntbox = unfold_negative_inclusions(parse_tbox("some R . B < B\nA & B < bot"), 5)
+    assert ntbox.statuses()[0][1] == Truncated(5)
+    ntbox = unfold_negative_inclusions(
         parse_tbox("A & C < D\nB & D < E\nE & F < bot"), 4)
-    assert report[0][1] == Exact()
+    assert ntbox.statuses()[0][1] == Exact()
 
 
 def test_unfold_budget():

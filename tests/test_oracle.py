@@ -13,7 +13,7 @@ from rlwindow.oracle import (cross_check, definitional_window_repair,
                              naive_window_materialization, preferred_repairs)
 from rlwindow.stream import parse_stream
 from rlwindow.synth import random_stream, random_tbox
-from rlwindow.window import WindowModel
+from rlwindow.window import OccurrenceIndex, WindowModel
 
 
 # -- from-scratch materialization ----------------------------------------------
@@ -175,7 +175,7 @@ def test_cross_check_flags_unrepaired_survivors(pedals_tbox, pedals_stream):
         wm.entry_timestamps.append(b.timestamp)
         seed = [o for o in sorted(b.occurrences(), key=lambda o: o.sort_key)
                 if wm._insert(o.atom, o.timestamp, asserted=True)]
-        wm._fixpoint(pedals_tbox, seed, check_negatives=False)
+        wm._fixpoint(pedals_tbox, OccurrenceIndex(seed), check_negatives=False)
     verdict = cross_check(wm, pedals_stream, ext(0, 4), pedals_tbox, ntbox)
     assert not verdict.match
     assert any("oracle repair drops it" in line for line in verdict.diff)

@@ -39,6 +39,14 @@ def test_timestamp_arithmetic_and_order():
     assert ts("-1") < ts("0.000001") < ts(1)
 
 
+def test_timestamp_sums_keep_the_type_and_text():
+    total = Timestamp.of(3) + Timestamp.of(1)
+    assert type(total) is Timestamp and str(total) == "4"
+    assert type(total - Timestamp.of(1)) is Timestamp
+    assert repr(Timestamp.parse("1.5")) == "Timestamp(micros=1500000)"
+    assert Timestamp(micros=7) == Timestamp(7)
+
+
 @given(st.integers(min_value=-10**15, max_value=10**15))
 def test_timestamp_text_round_trip(micros):
     t = Timestamp(micros)

@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 
 from conftest import atoms_of, box, build_window, catom, ext, occ, ts
 from rlwindow.errors import StaleTimestamp, UnexpectedInconsistency
-from rlwindow.interpretation import direct_sum, eval_concept, eval_role
+from rlwindow.interpretation import (canonical_model, direct_sum, eval_concept,
+                                     eval_role, satisfies)
 from rlwindow.oracle import naive_window_materialization
 from rlwindow.ontology import parse_tbox
 from rlwindow.stream import Occurrence, Timestamp, WindowSpec, window_abox, window_extents
 from rlwindow.synth import random_stream, random_tbox
-from rlwindow.window import WindowModel, init_window_model, slide
+from rlwindow.window import WindowModel, _minjoin
 
 
 def homes_text(wm, atom):
@@ -62,7 +63,7 @@ def test_attributed_atoms_flag_origin(worked_tbox, worked_stream):
 # -- add_abox ----------------------------------------------------------------
 
 def test_add_to_empty_equals_canonical_model(worked_tbox, worked_stream):
-    wm = init_window_model(ext(1, 2))
+    wm = WindowModel(ext(1, 2))
     wm.add_abox(worked_stream[0], worked_tbox)
     expect = naive_window_materialization(worked_stream, ext(1, 1), worked_tbox)
     assert atoms_of(wm.window_interpretation()) == atoms_of(expect)
@@ -79,7 +80,7 @@ def test_add_empty_abox_keeps_interpretation(worked_tbox, worked_stream):
 
 
 def test_add_rejects_stale_and_outside_timestamps(worked_tbox):
-    wm = init_window_model(ext(1, 3))
+    wm = WindowModel(ext(1, 3))
     wm.add_abox(box(2, catom("A", "a")), worked_tbox)
     with pytest.raises(StaleTimestamp):
         wm.add_abox(box(2, catom("B", "a")), worked_tbox)
@@ -91,7 +92,7 @@ def test_add_rejects_stale_and_outside_timestamps(worked_tbox):
 
 def test_add_raises_on_negative_inclusion():
     tbox = parse_tbox("A & B < bot")
-    wm = init_window_model(ext(0, 2))
+    wm = WindowModel(ext(0, 2))
     wm.add_abox(box(1, catom("A", "a")), tbox)
     with pytest.raises(UnexpectedInconsistency):
         wm.add_abox(box(2, catom("B", "a")), tbox)
@@ -100,7 +101,7 @@ def test_add_raises_on_negative_inclusion():
 def test_failed_add_leaves_the_model_as_it_was():
     # The clash surfaces only in the second round, after D(a) was derived.
     tbox = parse_tbox("A < D\nD & B < bot")
-    wm = init_window_model(ext(0, 2))
+    wm = WindowModel(ext(0, 2))
     wm.add_abox(box(1, catom("B", "a")), tbox)
     before = wm.copy()
     with pytest.raises(UnexpectedInconsistency):
@@ -145,7 +146,7 @@ def test_raising_operations_change_nothing(seed):
 
 def test_same_round_derivations_share_the_tick():
     tbox = parse_tbox("A < B\nB < C")
-    wm = init_window_model(ext(0, 1))
+    wm = WindowModel(ext(0, 1))
     wm.add_abox(box(1, catom("A", "a")), tbox)
     assert homes_text(wm, catom("B", "a")) == ["1"]
     assert homes_text(wm, catom("C", "a")) == ["1"]
@@ -199,7 +200,7 @@ def test_slide_only_moves_forward(worked_tbox, worked_stream):
 def test_slide_to_same_extent_is_noop(worked_tbox, worked_stream):
     wm = build_window(ext(1, 3), worked_stream, worked_tbox)
     before = atoms_of(wm.window_interpretation())
-    _, report = slide(wm, worked_stream, ext(1, 3), worked_tbox)
+    report = wm.slide(worked_stream, ext(1, 3), worked_tbox)
     assert atoms_of(wm.window_interpretation()) == before
     assert report.added_occurrences == 0 and report.expired_occurrences == 0
 
@@ -213,51 +214,96 @@ def test_tumbling_slide_equals_scratch(worked_tbox, worked_stream):
 
 def test_slide_report_counts(worked_tbox, worked_stream):
     wm = build_window(ext(1, 2), worked_stream, worked_tbox)
-    _, report = slide(wm, worked_stream, ext(2, 3), worked_tbox)
+    report = wm.slide(worked_stream, ext(2, 3), worked_tbox)
     assert report.extent == ext(2, 3)
     assert report.expired_occurrences > 0
     assert report.added_occurrences > 0
     assert report.removals == ()
 
 
-# -- derivation log ----------------------------------------------------------
+class _ReadLog(list):
+    """A list that records the index of every item read from it."""
 
-def _replayable(wm, cutoff):
-    """Occurrences reachable from asserted facts at or after the cutoff using
-    only logged derivation steps entirely at or after the cutoff."""
-    have = {o for o in wm.asserted_occurrences() if o.timestamp >= cutoff}
-    pending = [d for d in wm.derivation_log if d.head.timestamp >= cutoff]
-    changed = True
-    while changed:
-        changed = False
-        rest = []
-        for d in pending:
-            if all(b in have for b in d.body):
-                if d.head not in have:
-                    have.add(d.head)
-                    changed = True
-            else:
-                rest.append(d)
-        pending = rest
-    return have
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = []
 
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        raise AssertionError("the whole stream was walked")
+
+
+def test_slide_reads_only_the_fresh_boxes():
+    tbox = parse_tbox("A < B")
+    n = 4096
+    stream = _ReadLog(box(t, catom("A", f"x{t}")) for t in range(n))
+    wm = WindowModel(ext(0, 9))
+    for t in range(10):
+        wm.add_abox(list.__getitem__(stream, t), tbox)
+    last = 9
+    for end in (10, 12, 2000, 2003):
+        stream.reads.clear()
+        fresh, last = end - last, end
+        report = wm.slide(stream, ext(end - 9, end), tbox)
+        assert wm.entry_timestamps == [ts(t) for t in range(end - 9, end + 1)]
+        # Ticks that slid past in one jump are neither ingested nor read.
+        fresh = min(fresh, 10)
+        assert report.added_occurrences == 2 * fresh
+        assert len(stream.reads) <= 2 * n.bit_length() + fresh + 1
+
+
+# -- home timestamps ---------------------------------------------------------
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_every_home_is_replayable_from_its_tick(seed):
+    # Each home certifies a derivation from assertions at or after it, so
+    # the chase over exactly those assertions must produce the atom.
     tbox = random_tbox(seed, n_negative=0, acyclic=False)
     stream = random_stream(seed + 1, n_ticks=6, atoms_per_tick=4)
     wm = build_window(ext(0, 5), stream, tbox)
-    assert not wm.log_overflow
     asserted = wm.asserted_occurrences()
+    replayed = {}
     for o in wm.occurrences():
-        if o in asserted:
-            continue
-        assert o in _replayable(wm, o.timestamp), str(o)
+        if o.timestamp not in replayed:
+            later = {a.atom for a in asserted if a.timestamp >= o.timestamp}
+            replayed[o.timestamp] = canonical_model(later, tbox)
+        assert satisfies(replayed[o.timestamp], o.atom), str(o)
+
+
+@given(st.sets(st.integers(min_value=-50, max_value=50), min_size=1),
+       st.sets(st.integers(min_value=-50, max_value=50), min_size=1))
+def test_minjoin_is_the_pairwise_minimum(a, b):
+    a = {Timestamp(x) for x in a}
+    b = {Timestamp(y) for y in b}
+    assert _minjoin(a, b) == {min(x, y) for x in a for y in b}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_homes_and_bounds_stay_timestamps(seed):
+    # Timestamp is an int subclass: a plain int slipping in would print as
+    # raw micro-units.
+    tbox = random_tbox(seed, n_negative=0, acyclic=False)
+    stream = random_stream(seed + 1, n_ticks=6, atoms_per_tick=4)
+    spec = WindowSpec(ts(3), ts(1), ts(3))
+    wm = None
+    for extent in window_extents(spec, stream[-1].timestamp):
+        assert type(extent.start) is Timestamp and type(extent.end) is Timestamp
+        if wm is None:
+            wm = build_window(extent, stream, tbox)
+        else:
+            wm.slide(stream, extent, tbox)
+        for att in wm.attributed_atoms():
+            assert all(type(t) is Timestamp for t in att.home_timestamps)
+            assert all(type(t) is Timestamp for t in att.asserted_at)
+        assert all(type(o.timestamp) is Timestamp for o in wm.occurrences())
 
 
 def _minimal_supports(atom, occurrences, tbox):
-    from rlwindow.interpretation import canonical_model, satisfies
     occurrences = sorted(occurrences, key=lambda o: o.sort_key)
     supports = []
     for r in range(1, len(occurrences) + 1):
