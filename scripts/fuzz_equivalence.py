@@ -35,11 +35,7 @@ def check_materialization(seed):
     for extent in window_extents(spec, stream[-1].timestamp):
         if wm is None:
             wm = WindowModel(extent)
-            for box in stream:
-                if extent.contains(box.timestamp):
-                    wm.add_abox(box, tbox)
-        else:
-            wm.slide(stream, extent, tbox)
+        wm.slide(stream, extent, tbox)
         expect = naive_window_materialization(stream, extent, tbox)
         if frozenset(wm.window_interpretation().atoms()) != frozenset(expect.atoms()):
             return f"window {extent} diverges from the canonical model"
@@ -65,11 +61,7 @@ def check_repair(seed):
     for extent in window_extents(spec, stream[-1].timestamp):
         if wm is None:
             wm = WindowModel(extent)
-            for box in stream:
-                if extent.contains(box.timestamp):
-                    add_abox_with_repair(wm, box, tbox, ntbox)
-        else:
-            wm.slide(stream, extent, tbox, repair=hook)
+        wm.slide(stream, extent, tbox, repair=hook)
         if wm.asserted_occurrences() != set(definitional_window_repair(stream, extent, tbox)):
             return f"survivors at {extent} diverge from the definitional repair"
     return None

@@ -48,21 +48,6 @@ class RunConfig:
     atoms_per_tick: int = 20
 
 
-def _build_window(extent, stream, tbox, ntbox, repair):
-    """Materialize one extent from scratch; returns (model, removals)."""
-    wm = WindowModel(extent)
-    removals = []
-    for box in stream:
-        if not extent.contains(box.timestamp):
-            continue
-        if repair:
-            _, rep = add_abox_with_repair(wm, box, tbox, ntbox)
-            removals.extend(sorted(rep.removed, key=lambda o: o.sort_key))
-        else:
-            wm.add_abox(box, tbox)
-    return wm, removals
-
-
 class _Labels(dict):
     """Printed text of each timestamp, formatted on first use."""
 
@@ -110,6 +95,11 @@ def run(config, out=None, err=None):
     horizon = stream[-1].timestamp
     extents = window_extents(spec, horizon) if horizon >= spec.origin else []
 
+    hook = None
+    if config.repair:
+        def hook(model, box):
+            return add_abox_with_repair(model, box, tbox, ntbox)[1]
+
     wm = None
     prev_atoms = frozenset()
     labels = _Labels()
@@ -118,15 +108,8 @@ def run(config, out=None, err=None):
             lines = [f"WINDOW {extent}"]
             try:
                 if wm is None:
-                    wm, removals = _build_window(
-                        extent, stream, tbox, ntbox, config.repair)
-                else:
-                    hook = None
-                    if config.repair:
-                        def hook(model, box):
-                            return add_abox_with_repair(model, box, tbox, ntbox)[1]
-                    report = wm.slide(stream, extent, tbox, repair=hook)
-                    removals = list(report.removals)
+                    wm = WindowModel(extent)
+                removals = wm.slide(stream, extent, tbox, repair=hook).removals
             except UnexpectedInconsistency as exc:
                 lines.append("INCONSISTENT")
                 print("\n".join(lines), file=out)
@@ -218,13 +201,13 @@ def bench(config):
     for extent in extents:
         t0 = time.perf_counter_ns()
         if wm is None:
-            wm, _ = _build_window(extent, stream, tbox, None, False)
-        else:
-            wm.slide(stream, extent, tbox)
+            wm = WindowModel(extent)
+        wm.slide(stream, extent, tbox)
         incr = (time.perf_counter_ns() - t0) // 1000
 
         t0 = time.perf_counter_ns()
-        scratch, _ = _build_window(extent, stream, tbox, None, False)
+        scratch = WindowModel(extent)
+        scratch.slide(stream, extent, tbox)
         scr = (time.perf_counter_ns() - t0) // 1000
 
         rows.append(BenchRow(extent.end, incr, scr))

@@ -6,6 +6,9 @@ and no proper subset does. Resolution prefers newer information. Conflicts
 whose oldest members are most recent are handled first; each sheds its oldest
 occurrences, and anything those removals already resolve is dropped before
 older conflicts get a say. Removals are permanent for the life of the stream.
+Conflicts are enumerated by the materializer's semi-naive evaluator,
+window._Probe, annotating each instantiation with its supports instead of
+its homes.
 
 Removing an asserted occurrence retracts its consequences by overdeletion and
 rederivation: every derived occurrence reachable through a derivation that
@@ -18,9 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ontology import ConceptInclusion, ConceptName, Conj
+from .ontology import RoleInverse
 from .stream import ConceptAtom, MomentaryABox, Occurrence, RoleAtom
-from .window import OccurrenceIndex, _Probe, _delta_concept, _delta_role
+from .window import OccurrenceIndex, _Probe
 
 
 @dataclass(frozen=True)
@@ -51,94 +54,25 @@ class RepairReport:
 # conflict enumeration
 
 
-class _Supports:
-    """Support enumeration over the union of a few occurrence indexes.
-
-    A support of expr at x is a set of occurrences placing x in expr under
-    the plain facts; non-minimal supports are filtered by the caller. Both
-    enumerations are memoized for the life of the object, keyed by the
-    identity of the expression: hashing a nested expression walks all of it.
+class _Supports(_Probe):
+    """The materializer's evaluator, annotating with supports: the sets of
+    occurrences placing x in expr under the plain facts. A leaf is annotated
+    with its singleton supports and a join pairs supports by union, so
+    fresh(body) holds the supports that use a delta occurrence. Non-minimal
+    supports are filtered by the caller.
     """
 
-    def __init__(self, pools, delta):
-        self.pools = pools
-        self.delta = delta
-        self._all = {}
-        self._fresh = {}
+    def join(self, a, b):
+        return {lhs | rhs for lhs in a for rhs in b}
 
-    def at(self, expr, x):
-        """Every support of expr at x."""
-        key = (id(expr), x)
-        out = self._all.get(key)
-        if out is not None:
-            return out
-        if isinstance(expr, ConceptName):
-            atom = ConceptAtom(expr.name, x)
-            out = {frozenset({Occurrence(atom, t)}) for p in self.pools
-                   for t in p.concepts.get(expr.name, {}).get(x, ())}
-        elif isinstance(expr, Conj):
-            out = set()
-            left = self.at(expr.left, x)
-            if left:
-                right = self.at(expr.right, x)
-                out = {lhs | rhs for lhs in left for rhs in right}
-        else:
-            out = set()
-            for p in self.pools:
-                for y, atom, homes in p.role_neighbors(expr.role, x):
-                    fillers = self.at(expr.filler, y)
-                    if not fillers:
-                        continue
-                    for t in homes:
-                        role_occ = Occurrence(atom, t)
-                        out.update(f | {role_occ} for f in fillers)
-        self._all[key] = out
-        return out
+    def concept_leaf(self, name, x, homes):
+        atom = ConceptAtom(name, x)
+        return {frozenset({Occurrence(atom, t)}) for t in homes}
 
-    def fresh(self, expr):
-        """{x: the supports of expr at x that use a delta occurrence}.
-
-        Semi-naive: one position of expr is matched against the delta and
-        the rest against the pools. A conjunction is (fresh left x all
-        right) plus (all left x fresh right); an existential is (fresh role
-        x all filler) plus (any role x fresh filler), the second walked back
-        from the filler member through the inverse role.
-        """
-        out = self._fresh.get(id(expr))
-        if out is not None:
-            return out
-        out = {}
-        if isinstance(expr, ConceptName):
-            for x, tss in self.delta.concepts.get(expr.name, {}).items():
-                atom = ConceptAtom(expr.name, x)
-                out[x] = {frozenset({Occurrence(atom, t)}) for t in tss}
-        elif isinstance(expr, Conj):
-            for x, fresh in self.fresh(expr.left).items():
-                right = self.at(expr.right, x)
-                if right:
-                    out.setdefault(x, set()).update(
-                        lhs | rhs for lhs in fresh for rhs in right)
-            for x, fresh in self.fresh(expr.right).items():
-                left = self.at(expr.left, x)
-                if left:
-                    out.setdefault(x, set()).update(
-                        lhs | rhs for lhs in left for rhs in fresh)
-        else:
-            for x, y, atom, tss in self.delta.role_matches(expr.role):
-                fillers = self.at(expr.filler, y)
-                if not fillers:
-                    continue
-                for t in tss:
-                    role_occ = Occurrence(atom, t)
-                    out.setdefault(x, set()).update(f | {role_occ} for f in fillers)
-            for y, fresh in self.fresh(expr.filler).items():
-                for p in self.pools:
-                    for x, atom, homes in p.role_sources(expr.role, y):
-                        for t in homes:
-                            role_occ = Occurrence(atom, t)
-                            out.setdefault(x, set()).update(f | {role_occ} for f in fresh)
-        self._fresh[id(expr)] = out
-        return out
+    def role_leaf(self, rexpr, x, y, homes):
+        s, o = (y, x) if isinstance(rexpr, RoleInverse) else (x, y)
+        atom = RoleAtom(rexpr.name, s, o)
+        return {frozenset({Occurrence(atom, t)}) for t in homes}
 
 
 def find_conflicts(current, incoming, ntbox):
@@ -151,6 +85,10 @@ def find_conflicts(current, incoming, ntbox):
     a smaller such instantiation (from any body) is contained in it.
     Distinct timestamped copies of the same atoms give distinct conflicts.
 
+    The incoming occurrences are added to `current` for the enumeration and
+    the ones it did not already hold are taken out again before returning,
+    also when the enumeration raises.
+
     When `current` is conflict-free, every conflict of the union uses an
     incoming occurrence, so the result is exactly the minimally inconsistent
     subsets of the union. That always holds on the engine path: survivors of
@@ -158,14 +96,19 @@ def find_conflicts(current, incoming, ntbox):
     """
     if not isinstance(current, OccurrenceIndex):
         current = OccurrenceIndex(current)
-    delta = OccurrenceIndex(incoming.occurrences())
-    supports = _Supports((current, delta), delta)
-    found = {}  # support -> (body, binding) of its first instantiation
-    for body in ntbox.flattened_negatives:
-        by_binding = supports.fresh(body)
-        for x in sorted(by_binding):
-            for supp in by_binding[x]:
-                found.setdefault(supp, (body, x))
+    arriving = incoming.occurrences()
+    added = [o for o in arriving if current.add(o.atom, o.timestamp)]
+    try:
+        supports = _Supports(current, OccurrenceIndex(arriving))
+        found = {}  # support -> (body, binding) of its first instantiation
+        for body in ntbox.flattened_negatives:
+            by_binding = supports.fresh(body)
+            for x in sorted(by_binding):
+                for supp in by_binding[x]:
+                    found.setdefault(supp, (body, x))
+    finally:
+        for o in added:
+            current.discard(o.atom, o.timestamp)
     minimal = [ConflictSet(occurrences=supp, violated_body=body, binding=x)
                for supp, (body, x) in found.items()
                if not any(other < supp for other in found)]
@@ -235,7 +178,7 @@ def apply_repair(wm, removed, tbox):
             wm._discard(wm._asserted, occ.atom, occ.timestamp)
         marked = _overdelete(wm, removed, tbox)
         for occ in marked:
-            wm._delete_occurrence(occ.atom, occ.timestamp)
+            wm._discard(wm._index, occ.atom, occ.timestamp)
 
         # Rederivation: one full pass finds marked occurrences with surviving
         # support, then the ordinary semi-naive rounds propagate from those.
@@ -249,28 +192,15 @@ def _overdelete(wm, removed, tbox):
     marked = set(removed)
     frontier = removed
     while frontier:
-        dindex = OccurrenceIndex(frontier)
-        probe = _Probe(wm._index)
+        probe = _Probe(wm._index, OccurrenceIndex(frontier))
         fresh = []
-        for ax in tbox.positive_axioms:
-            if isinstance(ax, ConceptInclusion):
-                res = _delta_concept(ax.body, probe, dindex)
-                heads = [(ConceptAtom(ax.head, x), h)
-                         for x in sorted(res) for h in sorted(res[x])]
-            else:
-                res = _delta_role(ax.sub, dindex)
-                heads = [(RoleAtom(ax.sup.name, x, y), h)
-                         for (x, y) in sorted(res) for h in sorted(res[(x, y)])]
-            for atom, h in heads:
+        for atom, homes in probe.consequences(tbox):
+            have, asserted = wm.homes(atom), wm._asserted.homes(atom)
+            for h in homes:
                 occ = Occurrence(atom, h)
-                if occ in marked:
-                    continue
-                if h not in wm.homes(atom):
-                    continue
-                if h in wm._asserted.homes(atom):
-                    continue
-                marked.add(occ)
-                fresh.append(occ)
+                if h in have and h not in asserted and occ not in marked:
+                    marked.add(occ)
+                    fresh.append(occ)
         frontier = fresh
     return marked
 

@@ -11,7 +11,9 @@ no re-reasoning.
 
 Adding a momentary ABox runs a semi-naive fixpoint: each round only considers
 rule-body instantiations that use at least one occurrence added in the
-previous round, probing the rest of the body against the full index.
+previous round, probing the rest of the body against the full index. That
+round is _Probe, the engine's one rule-body evaluator, annotated with homes
+here and with supports in conflict enumeration (repair._Supports).
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from operator import attrgetter, itemgetter
 
 from .errors import StaleTimestamp, UnexpectedInconsistency
 from .interpretation import Interpretation
-from .ontology import ConceptInclusion, ConceptName, Conj, RoleInverse, RoleName
+from .ontology import (ConceptInclusion, ConceptName, Conj, RoleInverse, RoleName,
+                       invert_role)
 from .stream import (Atom, ConceptAtom, Occurrence, RoleAtom, Timestamp,
                      WindowExtent)
 
@@ -65,7 +68,7 @@ def _minjoin(a, b):
     return {x for x in a if x <= top_b} | {y for y in b if y <= top_a}
 
 
-def _merge_ann(out, key, ann):
+def _merge(out, key, ann):
     """Union a freshly built annotation into out[key]."""
     have = out.get(key)
     if have is None:
@@ -217,100 +220,117 @@ class OccurrenceIndex:
         return dup
 
     def role_matches(self, rexpr):
-        """(x, y, atom, timestamps) with the pair oriented per rexpr."""
-        out = []
-        for (s, o), tss in self.roles.get(rexpr.name, {}).items():
-            atom = RoleAtom(rexpr.name, s, o)
-            if isinstance(rexpr, RoleInverse):
-                out.append((o, s, atom, tss))
-            else:
-                out.append((s, o, atom, tss))
-        return sorted(out, key=lambda r: (r[0], r[1]))
+        """(x, y, homes) for every pair of the index in the rexpr image."""
+        pairs = self.roles.get(rexpr.name, {}).items()
+        if isinstance(rexpr, RoleInverse):
+            return [(o, s, homes) for (s, o), homes in pairs]
+        return [(s, o, homes) for (s, o), homes in pairs]
 
     def role_neighbors(self, rexpr, x):
-        """(y, atom, homes) for every pair putting x in the rexpr image."""
+        """(y, homes) for every pair putting x in the rexpr image."""
         name = rexpr.name
         if isinstance(rexpr, RoleName):
-            return [(o, RoleAtom(name, x, o), self.roles[name][(x, o)])
-                    for o in sorted(self.fwd.get(name, {}).get(x, ()))]
-        return [(s, RoleAtom(name, s, x), self.roles[name][(s, x)])
-                for s in sorted(self.rev.get(name, {}).get(x, ()))]
-
-    def role_sources(self, rexpr, y):
-        """(x, atom, homes) for every pair linking x to the filler member y."""
-        name = rexpr.name
-        if isinstance(rexpr, RoleName):
-            return [(s, RoleAtom(name, s, y), self.roles[name][(s, y)])
-                    for s in sorted(self.rev.get(name, {}).get(y, ()))]
-        return [(o, RoleAtom(name, y, o), self.roles[name][(y, o)])
-                for o in sorted(self.fwd.get(name, {}).get(y, ()))]
+            return [(o, self.roles[name][(x, o)])
+                    for o in self.fwd.get(name, {}).get(x, ())]
+        return [(s, self.roles[name][(s, x)])
+                for s in self.rev.get(name, {}).get(x, ())]
 
 
 class _Probe:
-    """Full-index evaluation with per-round memoization."""
+    """One semi-naive round over an index that already holds the delta.
 
-    def __init__(self, index):
+    at(expr, x) annotates the instantiations of expr at x over the whole
+    index; fresh(expr) maps each x to the annotation of those that use a
+    delta occurrence: a conjunction is fresh-left x all-right plus all-left x
+    fresh-right, an existential fresh-role x filler plus role x fresh-filler.
+    Both are memoized for the round on id(expr), since hashing a nested
+    expression walks all of it. fresh may repeat instantiations the index
+    already derives; callers deduplicate.
+
+    join and the two leaves are the annotation algebra; alternatives merge by
+    union. Here a leaf is its home set, which must not be mutated, and join
+    is the min-join, so an annotation is a set of achievable homes.
+    """
+
+    def __init__(self, index, delta):
         self.index = index
-        self.memo = {}
+        self.delta = delta
+        self._at = {}
+        self._fresh = {}
 
-    def concept_at(self, expr, x):
-        key = (expr, x)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
+    def join(self, a, b):
+        return _minjoin(a, b)
+
+    def concept_leaf(self, name, x, homes):
+        return homes
+
+    def role_leaf(self, rexpr, x, y, homes):
+        return homes
+
+    def at(self, expr, x):
+        key = (id(expr), x)
+        out = self._at.get(key)
+        if out is not None:
+            return out
         if isinstance(expr, ConceptName):
-            out = self.index.concepts.get(expr.name, {}).get(x) or set()
+            homes = self.index.concepts.get(expr.name, {}).get(x)
+            out = self.concept_leaf(expr.name, x, homes) if homes else set()
         elif isinstance(expr, Conj):
-            left = self.concept_at(expr.left, x)
             out = set()
+            left = self.at(expr.left, x)
             if left:
-                right = self.concept_at(expr.right, x)
+                right = self.at(expr.right, x)
                 if right:
-                    out = _minjoin(left, right)
+                    out = self.join(left, right)
         else:
             out = set()
-            for y, _, homes in self.index.role_neighbors(expr.role, x):
-                filler = self.concept_at(expr.filler, y)
+            for y, homes in self.index.role_neighbors(expr.role, x):
+                filler = self.at(expr.filler, y)
                 if filler:
-                    out |= _minjoin(homes, filler)
-        self.memo[key] = out
+                    out |= self.join(self.role_leaf(expr.role, x, y, homes), filler)
+        self._at[key] = out
         return out
 
-
-def _delta_concept(expr, probe, delta):
-    """{x: annotation} for the members x of expr whose instantiation uses a
-    delta occurrence. The annotations must not be mutated: a bare concept
-    name hands out the delta's own home sets.
-
-    May also report instantiations already derivable without the delta; the
-    caller deduplicates against the index, so that is harmless.
-    """
-    if isinstance(expr, ConceptName):
-        return delta.concepts.get(expr.name, {})
-    out = {}
-    if isinstance(expr, Conj):
-        for x, ann in _delta_concept(expr.left, probe, delta).items():
-            other = probe.concept_at(expr.right, x)
-            if other:
-                _merge_ann(out, x, _minjoin(ann, other))
-        for x, ann in _delta_concept(expr.right, probe, delta).items():
-            other = probe.concept_at(expr.left, x)
-            if other:
-                _merge_ann(out, x, _minjoin(other, ann))
+    def fresh(self, expr):
+        out = self._fresh.get(id(expr))
+        if out is not None:
+            return out
+        out = {}
+        if isinstance(expr, ConceptName):
+            for x, homes in self.delta.concepts.get(expr.name, {}).items():
+                out[x] = self.concept_leaf(expr.name, x, homes)
+        elif isinstance(expr, Conj):
+            for x, ann in self.fresh(expr.left).items():
+                other = self.at(expr.right, x)
+                if other:
+                    _merge(out, x, self.join(ann, other))
+            for x, ann in self.fresh(expr.right).items():
+                other = self.at(expr.left, x)
+                if other:
+                    _merge(out, x, self.join(other, ann))
+        else:
+            role = expr.role
+            for x, y, homes in self.delta.role_matches(role):
+                filler = self.at(expr.filler, y)
+                if filler:
+                    _merge(out, x, self.join(self.role_leaf(role, x, y, homes), filler))
+            inverse = invert_role(role)
+            for y, ann in self.fresh(expr.filler).items():
+                for x, homes in self.index.role_neighbors(inverse, y):
+                    _merge(out, x, self.join(self.role_leaf(role, x, y, homes), ann))
+        self._fresh[id(expr)] = out
         return out
-    for x, y, _, tss in delta.role_matches(expr.role):
-        filler = probe.concept_at(expr.filler, y)
-        if filler:
-            _merge_ann(out, x, _minjoin(tss, filler))
-    for y, ann in _delta_concept(expr.filler, probe, delta).items():
-        for x, _, homes in probe.index.role_sources(expr.role, y):
-            _merge_ann(out, x, _minjoin(homes, ann))
-    return out
 
-
-def _delta_role(rexpr, delta):
-    """{(x, y): homes} for the delta pairs in the rexpr image."""
-    return {(x, y): tss for x, y, _, tss in delta.role_matches(rexpr)}
+    def consequences(self, tbox):
+        """(head atom, annotation) for the instantiations of the positive
+        axioms that use a delta occurrence."""
+        for ax in tbox.positive_axioms:
+            if isinstance(ax, ConceptInclusion):
+                for x, ann in self.fresh(ax.body).items():
+                    yield ConceptAtom(ax.head, x), ann
+            else:
+                for x, y, homes in self.delta.role_matches(ax.sub):
+                    yield RoleAtom(ax.sup.name, x, y), self.role_leaf(ax.sub, x, y, homes)
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +381,6 @@ class WindowModel:
     def _discard(self, index, atom, ts):
         if index.discard(atom, ts) and self._journal is not None:
             self._journal.append((index, atom, ts, False))
-
-    def _delete_occurrence(self, atom, ts):
-        self._discard(self._index, atom, ts)
 
     @contextmanager
     def _atomic(self):
@@ -453,37 +470,22 @@ class WindowModel:
 
     # -- reasoning ----------------------------------------------------------
 
-    def _check_negatives(self, tbox, delta, probe):
-        for ax in tbox.negative_inclusions:
-            hit = _delta_concept(ax.body, probe, delta)
-            if hit:
-                raise UnexpectedInconsistency(ax, min(hit))
-
     def _fixpoint(self, tbox, delta, check_negatives=True):
         """Close the index under the positive axioms, semi-naive from the
-        seed occurrences in the OccurrenceIndex delta. Returns the number of
-        occurrences inserted."""
+        seed occurrences in the OccurrenceIndex delta, which the index must
+        already hold. Returns the number of occurrences inserted."""
         inserted = 0
         while delta.size():
-            probe = _Probe(self._index)
+            probe = _Probe(self._index, delta)
             if check_negatives:
-                self._check_negatives(tbox, delta, probe)
+                for ax in tbox.negative_inclusions:
+                    hit = probe.fresh(ax.body)
+                    if hit:
+                        raise UnexpectedInconsistency(ax, min(hit))
             additions = []
-            for ax in tbox.positive_axioms:
-                if isinstance(ax, ConceptInclusion):
-                    res = _delta_concept(ax.body, probe, delta)
-                    known = self._index.concepts.get(ax.head, {})
-                    for x, homes in res.items():
-                        have = known.get(x, ())
-                        additions.extend((ConceptAtom(ax.head, x), h)
-                                         for h in homes if h not in have)
-                else:
-                    res = _delta_role(ax.sub, delta)
-                    known = self._index.roles.get(ax.sup.name, {})
-                    for (x, y), homes in res.items():
-                        have = known.get((x, y), ())
-                        additions.extend((RoleAtom(ax.sup.name, x, y), h)
-                                         for h in homes if h not in have)
+            for atom, homes in probe.consequences(tbox):
+                have = self._index.homes(atom)
+                additions.extend((atom, h) for h in homes if h not in have)
             delta = OccurrenceIndex()
             for atom, h in additions:
                 if self._insert(atom, h, asserted=False):
@@ -525,9 +527,13 @@ class WindowModel:
     def slide(self, stream, new_extent, tbox, repair=None):
         """Advance to a newer extent: expire, then ingest the fresh ticks in
         order. The stream is a sequence of momentary ABoxes in increasing
-        timestamp order; the fresh ones are found by bisection, so a slide
-        reads O(log n) boxes besides the ones it ingests. The optional repair hook takes (model, abox) and is expected to
-        resolve conflicts and add the abox, returning a report with removals."""
+        timestamp order. The fresh boxes are those of the new extent newer
+        than the newest loaded entry, or all of the new extent's boxes when
+        no entry is loaded, so sliding a new WindowModel(extent) to its own
+        extent builds that window. They are found by bisection, so a slide
+        reads O(log n) boxes besides the ones it ingests. The optional
+        repair hook takes (model, abox) and is expected to resolve conflicts
+        and add the abox, returning a report with removals."""
         if new_extent.start < self.extent.start or new_extent.end < self.extent.end:
             raise ValueError("windows only slide forward")
         with self._atomic():
@@ -536,7 +542,6 @@ class WindowModel:
     def _slide(self, stream, new_extent, tbox, repair):
         report = SlideReport(extent=new_extent)
         before = self._index.size()
-        old_end = self.extent.end
         self.drop_before(new_extent.start)
         self.extent = new_extent
         after = self._index.size()
@@ -545,8 +550,10 @@ class WindowModel:
         removals = []
         repair_shrink = 0
         key = attrgetter("timestamp")
-        first = max(bisect_right(stream, old_end, key=key),
-                    bisect_left(stream, new_extent.start, key=key))
+        # Entries that survived expiry are inside the new extent.
+        entries = self.entry_timestamps
+        first = (bisect_right(stream, entries[-1], key=key) if entries
+                 else bisect_left(stream, new_extent.start, key=key))
         for i in range(first, len(stream)):
             box = stream[i]
             if box.timestamp > new_extent.end:

@@ -8,14 +8,14 @@ from conftest import atoms_of, box, build_window, catom, ext, occ, ratom, ts
 from rlwindow.errors import EngineError, StaleTimestamp, UnexpectedInconsistency
 from rlwindow.interpretation import (Inconsistent, canonical_model,
                                      eval_concept, standard_interpretation)
-from rlwindow.ontology import (ConceptName, Conj, RoleInverse, parse_tbox,
-                               unfold_negative_inclusions)
+from rlwindow.ontology import (ConceptInclusion, ConceptName, Conj, RoleInverse,
+                               parse_tbox, unfold_negative_inclusions)
 from rlwindow.oracle import definitional_window_repair
-from rlwindow.repair import (ConflictSet, add_abox_with_repair, apply_repair,
-                             find_conflicts, resolve_conflicts)
+from rlwindow.repair import (ConflictSet, _Supports, add_abox_with_repair,
+                             apply_repair, find_conflicts, resolve_conflicts)
 from rlwindow.stream import ConceptAtom, MomentaryABox, RoleAtom
 from rlwindow.synth import random_stream, random_tbox
-from rlwindow.window import WindowModel
+from rlwindow.window import OccurrenceIndex, WindowModel, _Probe
 
 
 def ntbox_of(text, depth=3):
@@ -90,6 +90,61 @@ def test_conflicts_must_use_an_incoming_occurrence():
     b1 = occ(catom("B", "b"), 1)
     conflicts = find_conflicts({A1, b1, r2}, box(3, ratom("r", "a", "b")), ntbox)
     assert [c.occurrences for c in conflicts] == [frozenset({A1, b1, r3})]
+
+
+def test_find_conflicts_leaves_current_as_it_was(monkeypatch):
+    ntbox = ntbox_of("A & B < bot\nA & some r . C < bot")
+    r1 = occ(ratom("r", "a", "b"), 1)
+    current = OccurrenceIndex({A1, r1})
+    incoming = box(2, catom("B", "a"), catom("C", "b"), ratom("r", "a", "c"))
+    conflicts = find_conflicts(current, incoming, ntbox)
+    assert {c.occurrences for c in conflicts} == {
+        frozenset({A1, B2}), frozenset({A1, r1, occ(catom("C", "b"), 2)})}
+    assert current == OccurrenceIndex({A1, r1}) and current.size() == 2
+
+    def failing_join(self, a, b):
+        raise RuntimeError("join failed")
+
+    monkeypatch.setattr(_Supports, "join", failing_join)
+    with pytest.raises(RuntimeError, match="join failed"):
+        find_conflicts(current, incoming, ntbox)
+    assert current == OccurrenceIndex({A1, r1}) and current.size() == 2
+
+
+def test_incoming_occurrences_already_in_current_stay_there():
+    ntbox = ntbox_of("A & B < bot")
+    current = OccurrenceIndex({A1, B1})
+    conflicts = find_conflicts(current, box(1, catom("A", "a"), catom("B", "a")), ntbox)
+    assert [c.occurrences for c in conflicts] == [frozenset({A1, B1})]
+    assert current == OccurrenceIndex({A1, B1}) and current.size() == 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_supports_and_homes_annotate_the_same_instantiations(seed):
+    # The oldest timestamp of each support is an achievable home, and every
+    # achievable home is the oldest timestamp of some support.
+    tbox = random_tbox(seed, acyclic=False)
+    bodies = [ax.body for ax in tbox.positive_axioms if isinstance(ax, ConceptInclusion)]
+    bodies += unfold_negative_inclusions(tbox, 2).flattened_negatives
+    occs = [o for b in random_stream(seed + 1, n_ticks=4, atoms_per_tick=5)
+            for o in b.occurrences()]
+    rng = random.Random(seed)
+    delta = OccurrenceIndex(o for o in occs if rng.random() < 0.4)
+    index = OccurrenceIndex(occs)
+    probe, supports = _Probe(index, delta), _Supports(index, delta)
+    inds = {o.atom.individual for o in occs if isinstance(o.atom, ConceptAtom)}
+    inds |= {i for o in occs if isinstance(o.atom, RoleAtom)
+             for i in (o.atom.subject, o.atom.obj)}
+
+    def oldest(supps):
+        return {min(o.timestamp for o in s) for s in supps}
+
+    for body in bodies:
+        for x in inds:
+            assert oldest(supports.at(body, x)) == probe.at(body, x)
+        assert ({x: oldest(s) for x, s in supports.fresh(body).items()}
+                == probe.fresh(body))
 
 
 # -- resolution ----------------------------------------------------------------

@@ -240,17 +240,15 @@ def test_slide_reads_only_the_fresh_boxes():
     tbox = parse_tbox("A < B")
     n = 4096
     stream = _ReadLog(box(t, catom("A", f"x{t}")) for t in range(n))
-    wm = WindowModel(ext(0, 9))
-    for t in range(10):
-        wm.add_abox(list.__getitem__(stream, t), tbox)
-    last = 9
-    for end in (10, 12, 2000, 2003):
+    # A new model slid to its own extent loads the whole window. The slides
+    # to 2000 and 3500 expire every loaded tick, so ingestion starts at the
+    # new extent; ticks that slid past in one jump are neither ingested nor
+    # read.
+    wm = WindowModel(ext(491, 500))
+    for end, fresh in ((500, 10), (501, 1), (503, 2), (2000, 10), (2003, 3), (3500, 10)):
         stream.reads.clear()
-        fresh, last = end - last, end
         report = wm.slide(stream, ext(end - 9, end), tbox)
         assert wm.entry_timestamps == [ts(t) for t in range(end - 9, end + 1)]
-        # Ticks that slid past in one jump are neither ingested nor read.
-        fresh = min(fresh, 10)
         assert report.added_occurrences == 2 * fresh
         assert len(stream.reads) <= 2 * n.bit_length() + fresh + 1
 
