@@ -356,10 +356,6 @@ def parse_tbox(text):
 # printing
 
 
-def format_role(role):
-    return str(role)
-
-
 def format_concept(expr):
     if isinstance(expr, ConceptName):
         return expr.name

@@ -7,7 +7,9 @@ instantiating some rule body for it, and every distinct instantiation
 contributes its own minimum, so the atom may be homed at several ticks.
 Because each home timestamp certifies a derivation using only occurrences at
 that tick or later, expiring the oldest ticks is pure deletion and requires
-no re-reasoning.
+no re-reasoning. The index buckets the atoms homed at each timestamp, so
+expiry discards exactly the expired buckets, through the same journaled
+removal as retraction, and costs what it removes.
 
 Adding a momentary ABox runs a semi-naive fixpoint: each round only considers
 rule-body instantiations that use at least one occurrence added in the
@@ -79,12 +81,13 @@ def _merge(out, key, ann):
 
 class OccurrenceIndex:
     """Home timestamps per concept and role atom, with role adjacency both
-    ways.
+    ways, and the atoms homed at each timestamp.
 
     The engine's one index shape: a window's occurrences, its asserted
     occurrences and the delta of a semi-naive round are each held in one.
-    Emptied entries are removed, so equal contents compare equal. The number
-    of occurrences held is kept up to date by every insertion and removal.
+    add and discard are the only writers, so the by-home buckets always
+    invert the home tables, and discard is the only removal. Emptied entries
+    and buckets are removed, so equal contents compare equal.
     """
 
     def __init__(self, occurrences=()):
@@ -92,14 +95,14 @@ class OccurrenceIndex:
         self.roles: dict[str, dict[tuple[str, str], set[Timestamp]]] = {}
         self.fwd: dict[str, dict[str, set[str]]] = {}
         self.rev: dict[str, dict[str, set[str]]] = {}
-        self._size = 0
+        self.by_home: dict[Timestamp, set[Atom]] = {}
         for occ in occurrences:
             self.add(occ.atom, occ.timestamp)
 
     def __eq__(self, other):
         return (isinstance(other, OccurrenceIndex)
-                and (self.concepts, self.roles, self.fwd, self.rev)
-                == (other.concepts, other.roles, other.fwd, other.rev))
+                and (self.concepts, self.roles, self.fwd, self.rev, self.by_home)
+                == (other.concepts, other.roles, other.fwd, other.rev, other.by_home))
 
     def homes(self, atom):
         if isinstance(atom, ConceptAtom):
@@ -120,34 +123,33 @@ class OccurrenceIndex:
         if ts in homes:
             return False
         homes.add(ts)
-        self._size += 1
+        bucket = self.by_home.get(ts)
+        if bucket is None:
+            bucket = self.by_home[ts] = set()
+        bucket.add(atom)
         return True
 
     def discard(self, atom, ts):
         """Remove one occurrence; True when it was there."""
         if isinstance(atom, ConceptAtom):
-            by_ind = self.concepts.get(atom.concept, {})
-            homes = by_ind.get(atom.individual)
-            if homes is None or ts not in homes:
-                return False
-            homes.discard(ts)
-            self._size -= 1
-            if not homes:
-                del by_ind[atom.individual]
-                if not by_ind:
-                    del self.concepts[atom.concept]
-            return True
-        by_pair = self.roles.get(atom.role, {})
-        homes = by_pair.get((atom.subject, atom.obj))
+            table, name, key = self.concepts, atom.concept, atom.individual
+        else:
+            table, name, key = self.roles, atom.role, (atom.subject, atom.obj)
+        by_key = table.get(name, {})
+        homes = by_key.get(key)
         if homes is None or ts not in homes:
             return False
         homes.discard(ts)
-        self._size -= 1
+        bucket = self.by_home[ts]
+        bucket.discard(atom)
+        if not bucket:
+            del self.by_home[ts]
         if not homes:
-            del by_pair[(atom.subject, atom.obj)]
-            self._unlink(atom.role, atom.subject, atom.obj)
-            if not by_pair:
-                del self.roles[atom.role]
+            del by_key[key]
+            if table is self.roles:
+                self._unlink(name, *key)
+            if not by_key:
+                del table[name]
         return True
 
     def _unlink(self, name, s, o):
@@ -159,54 +161,12 @@ class OccurrenceIndex:
                 if not by_node:
                     del adj[name]
 
-    def drop_before(self, cutoff):
-        """Remove every occurrence homed before the cutoff; return them."""
-        dropped = []
-        for name in list(self.concepts):
-            by_ind = self.concepts[name]
-            for x in list(by_ind):
-                homes = by_ind[x]
-                old = [t for t in homes if t < cutoff]
-                if old:
-                    homes.difference_update(old)
-                    atom = ConceptAtom(name, x)
-                    dropped.extend(Occurrence(atom, t) for t in old)
-                    if not homes:
-                        del by_ind[x]
-            if not by_ind:
-                del self.concepts[name]
-        for name in list(self.roles):
-            by_pair = self.roles[name]
-            for pair in list(by_pair):
-                homes = by_pair[pair]
-                old = [t for t in homes if t < cutoff]
-                if old:
-                    homes.difference_update(old)
-                    atom = RoleAtom(name, *pair)
-                    dropped.extend(Occurrence(atom, t) for t in old)
-                    if not homes:
-                        del by_pair[pair]
-                        self._unlink(name, *pair)
-            if not by_pair:
-                del self.roles[name]
-        self._size -= len(dropped)
-        return dropped
-
     def occurrences(self):
-        out = set()
-        for name, by_ind in self.concepts.items():
-            for x, homes in by_ind.items():
-                atom = ConceptAtom(name, x)
-                out.update(Occurrence(atom, t) for t in homes)
-        for name, by_pair in self.roles.items():
-            for (s, o), homes in by_pair.items():
-                atom = RoleAtom(name, s, o)
-                out.update(Occurrence(atom, t) for t in homes)
-        return out
+        return {Occurrence(atom, t) for t, atoms in self.by_home.items() for atom in atoms}
 
     def size(self):
         """Number of occurrences held."""
-        return self._size
+        return sum(map(len, self.by_home.values()))
 
     def copy(self):
         dup = OccurrenceIndex()
@@ -216,7 +176,7 @@ class OccurrenceIndex:
                      for n, m in self.roles.items()}
         dup.fwd = {n: {s: set(o) for s, o in m.items()} for n, m in self.fwd.items()}
         dup.rev = {n: {o: set(s) for o, s in m.items()} for n, m in self.rev.items()}
-        dup._size = self._size
+        dup.by_home = {t: set(atoms) for t, atoms in self.by_home.items()}
         return dup
 
     def role_matches(self, rexpr):
@@ -413,16 +373,6 @@ class WindowModel:
     def asserted_occurrences(self):
         return self._asserted.occurrences()
 
-    def attributed(self, atom):
-        homes = self.homes(atom)
-        if not homes:
-            return None
-        return AttributedAtom(
-            atom=atom,
-            home_timestamps=frozenset(homes),
-            asserted_at=frozenset(self._asserted.homes(atom)),
-        )
-
     def attributed_atoms(self):
         """Every atom of the window with its homes, in atom sort order."""
         rows = []
@@ -445,14 +395,11 @@ class WindowModel:
 
     def entry_interpretation(self, ts):
         concepts, roles = {}, {}
-        for n, by_ind in self._concepts.items():
-            ext = {x for x, homes in by_ind.items() if ts in homes}
-            if ext:
-                concepts[n] = ext
-        for n, by_pair in self._roles.items():
-            ext = {p for p, homes in by_pair.items() if ts in homes}
-            if ext:
-                roles[n] = ext
+        for atom in self._index.by_home.get(ts, ()):
+            if isinstance(atom, ConceptAtom):
+                concepts.setdefault(atom.concept, set()).add(atom.individual)
+            else:
+                roles.setdefault(atom.role, set()).add((atom.subject, atom.obj))
         return Interpretation(concepts, roles)
 
     def entries(self):
@@ -514,12 +461,14 @@ class WindowModel:
 
     def drop_before(self, cutoff):
         """Expire every occurrence homed before the cutoff. Pure deletion:
-        every surviving home certifies a derivation among survivors."""
+        every surviving home certifies a derivation among survivors. The
+        expired buckets are discarded occurrence by occurrence, the same
+        journaled removal that retraction uses."""
         self.entry_timestamps = [t for t in self.entry_timestamps if t >= cutoff]
         for index in (self._index, self._asserted):
-            dropped = index.drop_before(cutoff)
-            if self._journal is not None:
-                self._journal.extend((index, o.atom, o.timestamp, False) for o in dropped)
+            for t in [t for t in index.by_home if t < cutoff]:
+                for atom in list(index.by_home[t]):
+                    self._discard(index, atom, t)
         if self.extent.start < cutoff <= self.extent.end:
             self.extent = WindowExtent(cutoff, self.extent.end)
         return self
@@ -532,8 +481,9 @@ class WindowModel:
         no entry is loaded, so sliding a new WindowModel(extent) to its own
         extent builds that window. They are found by bisection, so a slide
         reads O(log n) boxes besides the ones it ingests. The optional
-        repair hook takes (model, abox) and is expected to resolve conflicts
-        and add the abox, returning a report with removals."""
+        repair hook takes (model, abox), resolves conflicts, adds the abox
+        and returns a repair.RepairReport, whose removed, conflicts,
+        overdeleted and rederived fields are read."""
         if new_extent.start < self.extent.start or new_extent.end < self.extent.end:
             raise ValueError("windows only slide forward")
         with self._atomic():
@@ -564,7 +514,7 @@ class WindowModel:
                 report.conflicts += len(rep.conflicts)
                 # retractions of older entries shrink the store mid-ingestion;
                 # count additions gross of that, not net
-                repair_shrink += getattr(rep, "overdeleted", 0) - getattr(rep, "rederived", 0)
+                repair_shrink += rep.overdeleted - rep.rederived
             else:
                 self.add_abox(box, tbox)
         report.added_occurrences = self._index.size() - after + repair_shrink

@@ -466,3 +466,54 @@ def test_raising_repair_operations_change_nothing(seed, depth):
         wm.slide(stream, ext(2, 5), tbox, repair=hook)
     except EngineError:
         assert vars(wm) == vars(before)
+
+
+def _assert_buckets_invert_homes(wm):
+    """Each index's by-home buckets are the inverse of its home tables, and
+    its size counts their occurrences."""
+    for index in (wm._index, wm._asserted):
+        inverse = {}
+        for name, by_ind in index.concepts.items():
+            for x, homes in by_ind.items():
+                for t in homes:
+                    inverse.setdefault(t, set()).add(ConceptAtom(name, x))
+        for name, by_pair in index.roles.items():
+            for pair, homes in by_pair.items():
+                for t in homes:
+                    inverse.setdefault(t, set()).add(RoleAtom(name, *pair))
+        assert index.by_home == inverse
+        assert index.size() == len(index.occurrences())
+
+
+class _Planted(Exception):
+    pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=1, max_value=6))
+def test_home_buckets_track_slides_expiry_and_rollback(seed, cut):
+    tbox = random_tbox(seed, n_concepts=4, n_roles=2, n_axioms=6, n_negative=2,
+                       acyclic=False)
+    ntbox = unfold_negative_inclusions(tbox, 2)
+    stream = random_stream(seed + 1, n_ticks=9, atoms_per_tick=3,
+                           n_individuals=2, n_concepts=4, n_roles=2)
+    hook = lambda model, b: add_abox_with_repair(model, b, tbox, ntbox)[1]
+    wm = WindowModel(ext(0, 3))
+    for end in (3, 4, 5):
+        try:
+            wm.slide(stream, ext(end - 3, end), tbox, repair=hook)
+        except EngineError:
+            pass
+        _assert_buckets_invert_homes(wm)
+    wm.drop_before(ts(cut))
+    _assert_buckets_invert_homes(wm)
+
+    def planted(model, b):
+        hook(model, b)
+        raise _Planted
+
+    before = wm.copy()
+    with pytest.raises((_Planted, EngineError)):
+        wm.slide(stream, ext(6, 8), tbox, repair=planted)
+    assert vars(wm) == vars(before)
+    _assert_buckets_invert_homes(wm)

@@ -12,7 +12,7 @@ from rlwindow.oracle import naive_window_materialization
 from rlwindow.ontology import parse_tbox
 from rlwindow.stream import Occurrence, Timestamp, WindowSpec, window_abox, window_extents
 from rlwindow.synth import random_stream, random_tbox
-from rlwindow.window import WindowModel, _minjoin
+from rlwindow.window import OccurrenceIndex, WindowModel, _minjoin
 
 
 def homes_text(wm, atom):
@@ -251,6 +251,30 @@ def test_slide_reads_only_the_fresh_boxes():
         assert wm.entry_timestamps == [ts(t) for t in range(end - 9, end + 1)]
         assert report.added_occurrences == 2 * fresh
         assert len(stream.reads) <= 2 * n.bit_length() + fresh + 1
+
+
+def test_one_tick_slide_discards_only_the_expired_bucket(monkeypatch):
+    tbox = parse_tbox("A < B")
+    n = 2000
+    stream = [box(t, catom("A", f"x{t}")) for t in range(n + 3)]
+    wm = WindowModel(ext(0, n - 1))
+    wm.slide(stream, ext(0, n - 1), tbox)
+    discarded = []
+    discard = OccurrenceIndex.discard
+
+    def logged(index, atom, t):
+        discarded.append((index, t))
+        return discard(index, atom, t)
+
+    monkeypatch.setattr(OccurrenceIndex, "discard", logged)
+    for end in range(n, n + 3):
+        discarded.clear()
+        report = wm.slide(stream, ext(end - n + 1, end), tbox)
+        # A(x) and B(x) expire from the window, A(x) from the asserted index.
+        assert report.expired_occurrences == 2
+        assert sum(index is wm._index for index, _ in discarded) == report.expired_occurrences
+        assert sum(index is wm._asserted for index, _ in discarded) == 1
+        assert {t for _, t in discarded} == {ts(end - n)}
 
 
 # -- home timestamps ---------------------------------------------------------
