@@ -11,6 +11,7 @@ import argparse
 import statistics
 import sys
 import time
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .errors import EngineError, ParseError, UnexpectedInconsistency
@@ -54,6 +55,39 @@ class _Labels(dict):
     def __missing__(self, ts):
         text = self[ts] = str(ts)
         return text
+
+
+class WindowLines:
+    """The printed line of each atom of a window, in atom order, brought up
+    to date from each slide's change set instead of re-rendered whole.
+
+    Holds one line per atom and the sorted list of the atoms. update
+    re-renders the line of each changed atom the model still holds and
+    drops the line of each one it no longer holds; an atom outside the
+    change set kept its homes, so its line still stands. A model built by
+    sliding a new WindowModel lists every atom as changed, so it needs a
+    new, empty WindowLines.
+    """
+
+    def __init__(self, labels):
+        self.labels = labels
+        self.line = {}
+        self.atoms = []
+
+    def update(self, wm, changed):
+        line, atoms, label = self.line, self.atoms, self.labels.__getitem__
+        for atom in changed:
+            homes = wm.homes(atom)
+            if homes:
+                if atom not in line:
+                    insort(atoms, atom)
+                line[atom] = f"{atom} @ {{{','.join(map(label, sorted(homes)))}}}"
+            elif atom in line:
+                del line[atom]
+                del atoms[bisect_left(atoms, atom)]
+
+    def lines(self):
+        return map(self.line.__getitem__, self.atoms)
 
 
 def run(config, out=None, err=None):
@@ -101,15 +135,17 @@ def run(config, out=None, err=None):
             return add_abox_with_repair(model, box, tbox, ntbox)[1]
 
     wm = None
-    prev_atoms = frozenset()
+    prev_atoms = set()  # the atoms of the last window printed in diff mode
     labels = _Labels()
     try:
         for extent in extents:
             lines = [f"WINDOW {extent}"]
+            rebuilt = wm is None
             try:
-                if wm is None:
+                if rebuilt:
                     wm = WindowModel(extent)
-                removals = wm.slide(stream, extent, tbox, repair=hook).removals
+                    rendered = WindowLines(labels)
+                report = wm.slide(stream, extent, tbox, repair=hook)
             except UnexpectedInconsistency as exc:
                 lines.append("INCONSISTENT")
                 print("\n".join(lines), file=out)
@@ -121,18 +157,20 @@ def run(config, out=None, err=None):
                 return EXIT_INCONSISTENT
 
             if config.emit == "window":
-                for att in wm.attributed_atoms():
-                    homes = ",".join(map(labels.__getitem__, sorted(att.home_timestamps)))
-                    lines.append(f"{att.atom} @ {{{homes}}}")
-                for occ in sorted(removals, key=lambda o: o.sort_key):
+                rendered.update(wm, report.changed)
+                lines.extend(rendered.lines())
+                for occ in sorted(report.removals, key=lambda o: o.sort_key):
                     lines.append(f"REMOVED {labels[occ.timestamp]} {occ.atom}")
             else:
-                atoms = frozenset(wm.window_interpretation().atoms())
-                for a in sorted(prev_atoms - atoms, key=lambda a: a.sort_key):
-                    lines.append(f"- {a}")
-                for a in sorted(atoms - prev_atoms, key=lambda a: a.sort_key):
-                    lines.append(f"+ {a}")
-                prev_atoms = atoms
+                # After a rebuild the diff is against the last printed
+                # window, which the change set of a new model does not see.
+                candidates = report.changed | prev_atoms if rebuilt else report.changed
+                gone = sorted(a for a in candidates if a in prev_atoms and not wm.homes(a))
+                new = sorted(a for a in candidates if a not in prev_atoms and wm.homes(a))
+                lines.extend(f"- {a}" for a in gone)
+                lines.extend(f"+ {a}" for a in new)
+                prev_atoms.difference_update(gone)
+                prev_atoms.update(new)
             print("\n".join(lines), file=out)
             print(file=out)
 

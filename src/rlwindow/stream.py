@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import OutOfOrder, ParseError
 
@@ -73,21 +74,24 @@ class Timestamp(int):
         return Timestamp(int(self) - other)
 
 
-@dataclass(frozen=True)
-class ConceptAtom:
+class ConceptAtom(NamedTuple):
+    """A unary assertion. Atoms are tuples: they hash and compare natively,
+    and sorting them, concept and role atoms mixed, orders them by
+    predicate name, then arguments. A concept atom never equals a role
+    atom, since the two have different lengths."""
+
     concept: str
     individual: str
 
     @property
     def sort_key(self):
-        return (self.concept, self.individual)
+        return self
 
     def __str__(self):
         return f"{self.concept}({self.individual})"
 
 
-@dataclass(frozen=True)
-class RoleAtom:
+class RoleAtom(NamedTuple):
     """A binary assertion. The role name is never an inverse; callers
     normalize inverses away by swapping the arguments."""
 
@@ -97,7 +101,7 @@ class RoleAtom:
 
     @property
     def sort_key(self):
-        return (self.role, self.subject, self.obj)
+        return self
 
     def __str__(self):
         return f"{self.role}({self.subject},{self.obj})"
@@ -106,14 +110,13 @@ class RoleAtom:
 Atom = ConceptAtom | RoleAtom
 
 
-@dataclass(frozen=True)
-class Occurrence:
+class Occurrence(NamedTuple):
     atom: Atom
     timestamp: Timestamp
 
     @property
     def sort_key(self):
-        return (self.timestamp, self.atom.sort_key)
+        return (self.timestamp, self.atom)
 
     def __str__(self):
         return f"{self.atom} @ {self.timestamp}"

@@ -46,11 +46,19 @@ class AttributedAtom:
 
 @dataclass
 class SlideReport:
+    """What one slide did. changed holds every atom whose home set the slide
+    may have changed: each atom that gained or lost a home in the window's
+    index, whether by expiry, ingestion, repair or rederivation. An atom
+    outside it has the homes it had before the slide, so a reader can bring
+    a rendering of the previous window up to date from it alone. Sliding a
+    new model lists every atom of the window it builds."""
+
     extent: WindowExtent
     added_occurrences: int = 0
     expired_occurrences: int = 0
     removals: tuple[Occurrence, ...] = ()
     conflicts: int = 0
+    changed: frozenset[Atom] = frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -346,14 +354,15 @@ class WindowModel:
     def _atomic(self):
         """Run the block all-or-nothing: if it raises, every index change,
         the entries and the extent are rolled back before the exception
-        propagates. A nested block rolls back with the outermost."""
+        propagates. A nested block rolls back with the outermost. Yields the
+        journal, which a nested block shares with the outermost."""
         if self._journal is not None:
-            yield
+            yield self._journal
             return
         journal = self._journal = []
         saved = (self.extent, list(self.entry_timestamps))
         try:
-            yield
+            yield journal
         except BaseException:
             for index, atom, ts, added in reversed(journal):
                 if added:
@@ -378,15 +387,15 @@ class WindowModel:
         rows = []
         for name, by_ind in self._index.concepts.items():
             asserted = self._asserted.concepts.get(name, {})
-            rows.extend(((name, x), ConceptAtom(name, x), homes, asserted.get(x, ()))
+            rows.extend((ConceptAtom(name, x), homes, asserted.get(x, ()))
                         for x, homes in by_ind.items())
         for name, by_pair in self._index.roles.items():
             asserted = self._asserted.roles.get(name, {})
-            rows.extend(((name, *pair), RoleAtom(name, *pair), homes, asserted.get(pair, ()))
+            rows.extend((RoleAtom(name, *pair), homes, asserted.get(pair, ()))
                         for pair, homes in by_pair.items())
         rows.sort(key=itemgetter(0))
         return [AttributedAtom(atom, frozenset(homes), frozenset(at))
-                for _, atom, homes, at in rows]
+                for atom, homes, at in rows]
 
     def window_interpretation(self):
         concepts = {n: set(by_ind) for n, by_ind in self._concepts.items()}
@@ -483,11 +492,22 @@ class WindowModel:
         reads O(log n) boxes besides the ones it ingests. The optional
         repair hook takes (model, abox), resolves conflicts, adds the abox
         and returns a repair.RepairReport, whose removed, conflicts,
-        overdeleted and rederived fields are read."""
+        overdeleted and rederived fields are read.
+
+        The report's changed set is read from the undo journal when the
+        slide succeeds: the atoms of its entries on the window's index. The
+        asserted index is left out, since an atom's printed line shows only
+        its homes, and so are the incoming occurrences that conflict
+        enumeration adds and takes out again, which are never journaled."""
         if new_extent.start < self.extent.start or new_extent.end < self.extent.end:
             raise ValueError("windows only slide forward")
-        with self._atomic():
-            return self._slide(stream, new_extent, tbox, repair)
+        with self._atomic() as journal:
+            start = len(journal)
+            report = self._slide(stream, new_extent, tbox, repair)
+            index = self._index
+            report.changed = frozenset(
+                entry[1] for entry in journal[start:] if entry[0] is index)
+        return report
 
     def _slide(self, stream, new_extent, tbox, repair):
         report = SlideReport(extent=new_extent)

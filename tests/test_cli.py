@@ -1,13 +1,20 @@
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (GOLDEN_PEDALS_REPAIRED, GOLDEN_WORKED_WINDOWS,
                       PEDALS_STREAM_TEXT, PEDALS_TBOX_TEXT,
                       WORKED_STREAM_TEXT, WORKED_TBOX_TEXT, ts)
 from rlwindow import cli
+from rlwindow.errors import UnexpectedInconsistency
+from rlwindow.ontology import format_tbox, parse_tbox, unfold_negative_inclusions
 from rlwindow.oracle import OracleVerdict
-from rlwindow.stream import WindowExtent
+from rlwindow.repair import add_abox_with_repair
+from rlwindow.stream import WindowExtent, WindowSpec, parse_stream, window_extents
+from rlwindow.synth import random_stream, random_tbox
+from rlwindow.window import WindowModel
 
 WORKED_TBOX = WORKED_TBOX_TEXT
 WORKED_STREAM = WORKED_STREAM_TEXT
@@ -108,6 +115,67 @@ def test_output_is_deterministic(files, capsys):
     _, first, _ = run_main(worked_argv(files, "--check-oracle"), capsys)
     _, second, _ = run_main(worked_argv(files, "--check-oracle"), capsys)
     assert first == second
+
+
+def _full_render(tbox, stream, extents, hook, emit):
+    """The run's stdout with --skip-inconsistent, each window rendered whole
+    from attributed_atoms."""
+    out, wm, printed = [], None, set()
+    for extent in extents:
+        out.append(f"WINDOW {extent}")
+        if wm is None:
+            wm = WindowModel(extent)
+        try:
+            removals = wm.slide(stream, extent, tbox, repair=hook).removals
+        except UnexpectedInconsistency:
+            out += ["INCONSISTENT", ""]
+            wm = None
+            continue
+        rows = wm.attributed_atoms()
+        if emit == "window":
+            out += [f"{r.atom} @ {{{','.join(map(str, sorted(r.home_timestamps)))}}}"
+                    for r in rows]
+            out += [f"REMOVED {o.timestamp} {o.atom}"
+                    for o in sorted(removals, key=lambda o: o.sort_key)]
+        else:
+            atoms = {r.atom for r in rows}
+            out += [f"- {a}" for a in sorted(printed - atoms)]
+            out += [f"+ {a}" for a in sorted(atoms - printed)]
+            printed = atoms
+        out.append("")
+    return "".join(line + "\n" for line in out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.booleans(),
+       st.sampled_from(["window", "diff"]), st.sampled_from([1, 2]))
+def test_incremental_lines_equal_a_full_render(tmp_path_factory, seed, repair, emit, slide):
+    # Cyclic TBoxes, with and without the repair hook. Some windows are
+    # inconsistent (with repair, the depth-1 rewrite lets conflicts through),
+    # and the run skips them and rebuilds from a new model.
+    tbox = random_tbox(seed, n_concepts=4, n_roles=2, n_axioms=6, n_negative=2,
+                       acyclic=False)
+    boxes = random_stream(seed + 1, n_ticks=12, atoms_per_tick=3,
+                          n_individuals=3, n_concepts=4, n_roles=2)
+    stream_text = "".join(f"{b.timestamp} {a}\n" for b in boxes for a in sorted(b.atoms))
+    if not stream_text:
+        return
+    d = tmp_path_factory.mktemp("run")
+    (d / "tbox").write_text(format_tbox(tbox))
+    (d / "stream").write_text(stream_text)
+    config = cli.RunConfig(tbox_path=str(d / "tbox"), stream_path=str(d / "stream"),
+                           width=ts(3), slide=ts(slide), origin=ts(3), repair=repair,
+                           unfold_depth=1, emit=emit, skip_inconsistent=True)
+    out = io.StringIO()
+    assert cli.run(config, out=out, err=io.StringIO()) == 0
+
+    tbox = parse_tbox(format_tbox(tbox))
+    stream = parse_stream(stream_text)
+    ntbox = unfold_negative_inclusions(tbox, 1)
+    hook = (lambda model, b: add_abox_with_repair(model, b, tbox, ntbox)[1]) if repair else None
+    horizon = stream[-1].timestamp
+    extents = window_extents(WindowSpec(ts(3), ts(slide), ts(3)), horizon) if horizon >= ts(3) else []
+    assert out.getvalue() == _full_render(tbox, stream, extents, hook, emit)
 
 
 # -- inconsistency handling -------------------------------------------------------

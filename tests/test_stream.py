@@ -4,9 +4,9 @@ from hypothesis import strategies as st
 
 from conftest import box, catom, ext, occ, ratom, ts
 from rlwindow.errors import OutOfOrder, ParseError
-from rlwindow.stream import (MICROS, Timestamp, WindowExtent, WindowSpec,
-                             parse_atom, parse_stream, window_abox,
-                             window_extents)
+from rlwindow.stream import (MICROS, ConceptAtom, RoleAtom, Timestamp,
+                             WindowExtent, WindowSpec, parse_atom,
+                             parse_stream, window_abox, window_extents)
 
 
 # -- timestamps --------------------------------------------------------------
@@ -156,3 +156,28 @@ def test_occurrence_sort_key_orders_time_first():
     a = occ(catom("Z", "z"), 1)
     b = occ(catom("A", "a"), 2)
     assert sorted([b, a], key=lambda o: o.sort_key) == [a, b]
+
+
+_names = st.sampled_from(["A", "B", "r", "s"])
+_inds = st.sampled_from(["a", "b", "c"])
+_atoms = st.one_of(st.builds(catom, _names, _inds), st.builds(ratom, _names, _inds, _inds))
+
+
+def _field_key(atom):
+    if isinstance(atom, ConceptAtom):
+        return (atom.concept, atom.individual)
+    return (atom.role, atom.subject, atom.obj)
+
+
+@given(st.lists(_atoms, max_size=12))
+def test_atoms_of_either_kind_sort_by_their_fields_and_never_meet(atoms):
+    # Atoms are tuples, so they sort by themselves: the concept atom A(a)
+    # and the role atom A(a,a) share a name and a first argument and must
+    # still come out in field order, and never be equal.
+    assert sorted(atoms) == sorted(atoms, key=_field_key)
+    for c in atoms:
+        for r in atoms:
+            if isinstance(c, ConceptAtom) and isinstance(r, RoleAtom):
+                assert c != r and r != c
+    c, r = catom("A", "a"), ratom("A", "a", "a")
+    assert c != r and len({c, r}) == 2 and sorted([r, c]) == [c, r]

@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import atoms_of, box, build_window, catom, ext, occ, ts
-from rlwindow.errors import StaleTimestamp, UnexpectedInconsistency
+from rlwindow.errors import EngineError, StaleTimestamp, UnexpectedInconsistency
 from rlwindow.interpretation import (canonical_model, direct_sum, eval_concept,
                                      eval_role, satisfies)
 from rlwindow.oracle import naive_window_materialization
-from rlwindow.ontology import parse_tbox
+from rlwindow.ontology import parse_tbox, unfold_negative_inclusions
+from rlwindow.repair import add_abox_with_repair
 from rlwindow.stream import Occurrence, Timestamp, WindowSpec, window_abox, window_extents
 from rlwindow.synth import random_stream, random_tbox
 from rlwindow.window import OccurrenceIndex, WindowModel, _minjoin
@@ -275,6 +276,78 @@ def test_one_tick_slide_discards_only_the_expired_bucket(monkeypatch):
         assert sum(index is wm._index for index, _ in discarded) == report.expired_occurrences
         assert sum(index is wm._asserted for index, _ in discarded) == 1
         assert {t for _, t in discarded} == {ts(end - n)}
+
+
+
+# -- change sets ---------------------------------------------------------------
+
+def _homes_by_atom(wm):
+    return {a.atom: a.home_timestamps for a in wm.attributed_atoms()}
+
+
+def _homes_changed(before, after):
+    return {a for a in before.keys() | after.keys() if before.get(a) != after.get(a)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.booleans())
+def test_slide_reports_every_atom_whose_homes_changed(seed, repair):
+    # Cyclic TBoxes. With repair, the depth-1 rewrite lets some conflicts
+    # through to the fixpoint, which raises; the run then starts over from a
+    # new model, whose first slide must report every atom it holds.
+    tbox = random_tbox(seed, n_concepts=4, n_roles=2, n_axioms=6, n_negative=2,
+                       acyclic=False)
+    ntbox = unfold_negative_inclusions(tbox, 1)
+    hook = (lambda model, b: add_abox_with_repair(model, b, tbox, ntbox)[1]) if repair else None
+    stream = random_stream(seed + 1, n_ticks=10, atoms_per_tick=3,
+                           n_individuals=3, n_concepts=4, n_roles=2)
+    wm = None
+    for end in (3, 4, 5, 7, 8, 9):
+        if wm is None:
+            wm = WindowModel(ext(end - 3, end))
+        before, homes = wm.copy(), _homes_by_atom(wm)
+        try:
+            report = wm.slide(stream, ext(end - 3, end), tbox, repair=hook)
+        except EngineError:
+            assert vars(wm) == vars(before)
+            wm = None
+            continue
+        assert _homes_changed(homes, _homes_by_atom(wm)) <= report.changed
+
+
+class _Planted(Exception):
+    pass
+
+
+def test_failed_slide_changes_nothing_and_a_retry_reports_its_atoms(worked_tbox, worked_stream):
+    wm = WindowModel(ext(0, 2))
+    wm.slide(worked_stream, ext(0, 2), worked_tbox)
+    before, homes = wm.copy(), _homes_by_atom(wm)
+
+    def planted(model, b):
+        model.add_abox(b, worked_tbox)
+        raise _Planted
+
+    with pytest.raises(_Planted):
+        wm.slide(worked_stream, ext(2, 4), worked_tbox, repair=planted)
+    assert vars(wm) == vars(before)
+    report = wm.slide(worked_stream, ext(2, 4), worked_tbox)
+    # A, B, D and E are rehomed; C(a) keeps its home at 2.
+    assert report.changed == _homes_changed(homes, _homes_by_atom(wm))
+    assert report.changed == {catom(n, "a") for n in "ABDE"}
+
+
+def test_nested_slide_reports_only_its_own_atoms(worked_tbox, worked_stream):
+    # Inside an enclosing atomic block the journal already holds the first
+    # slide's entries; the second slide reads only the ones after them.
+    alone = WindowModel(ext(0, 2))
+    want = [alone.slide(worked_stream, e, worked_tbox).changed for e in (ext(0, 2), ext(2, 4))]
+    wm = WindowModel(ext(0, 2))
+    with wm._atomic():
+        got = [wm.slide(worked_stream, e, worked_tbox).changed for e in (ext(0, 2), ext(2, 4))]
+    assert got == want
+    assert want[0] == {catom(n, "a") for n in "ABCDE"}
+    assert catom("C", "a") not in want[1]
 
 
 # -- home timestamps ---------------------------------------------------------
