@@ -4,13 +4,17 @@
 Modes:
   materialization  sliding windows vs from-scratch canonical models
   repair           repaired survivor sets vs the definitional window repair,
-                   re-checked after every slide (suffix stability)
+                   and the repaired materialization (atoms and homes) vs a
+                   window built from scratch out of the survivors, re-checked
+                   after every slide (suffix stability); then random
+                   retractions under a cyclic TBox vs the same rebuild
   rewrite          flattened negative bodies vs chase inconsistency
 
 Exits non-zero if any case disagrees, printing the offending seed.
 """
 
 import argparse
+import random
 import sys
 import time
 from pathlib import Path
@@ -21,8 +25,9 @@ from rlwindow.interpretation import (Inconsistent, canonical_model,
                                      eval_concept, standard_interpretation)
 from rlwindow.ontology import unfold_negative_inclusions
 from rlwindow.oracle import definitional_window_repair, naive_window_materialization
-from rlwindow.repair import add_abox_with_repair
-from rlwindow.stream import Timestamp, WindowSpec, window_extents
+from rlwindow.repair import add_abox_with_repair, apply_repair
+from rlwindow.stream import (MomentaryABox, Timestamp, WindowExtent, WindowSpec,
+                             window_extents)
 from rlwindow.synth import random_stream, random_tbox
 from rlwindow.window import WindowModel
 
@@ -49,9 +54,13 @@ def _exact_tbox(seed):
 
 
 def check_repair(seed):
+    return _check_repaired_slides(seed) or _check_retraction(seed)
+
+
+def _check_repaired_slides(seed):
     made = _exact_tbox(seed)
     if made is None:
-        return None  # counted as skipped by the caller via None-with-flag
+        return None
     tbox, ntbox = made
     stream = random_stream(seed + 1, n_ticks=4, atoms_per_tick=2,
                            n_individuals=2, n_concepts=5, n_roles=2)
@@ -62,9 +71,41 @@ def check_repair(seed):
         if wm is None:
             wm = WindowModel(extent)
         wm.slide(stream, extent, tbox, repair=hook)
-        if wm.asserted_occurrences() != set(definitional_window_repair(stream, extent, tbox)):
+        survivors = wm.asserted_occurrences()
+        if survivors != set(definitional_window_repair(stream, extent, tbox)):
             return f"survivors at {extent} diverge from the definitional repair"
+        if wm.occurrences() != _scratch_window(survivors, extent, tbox).occurrences():
+            return f"materialization at {extent} diverges from a rebuild of the survivors"
     return None
+
+
+def _check_retraction(seed):
+    """Retract random assertions from one window; the exact TBoxes above
+    hardly ever leave a retracted consequence with a second derivation, a
+    cyclic one often does."""
+    tbox = random_tbox(seed, n_axioms=8, n_negative=0, acyclic=False)
+    stream = random_stream(seed + 1, n_ticks=5, atoms_per_tick=4)
+    extent = WindowExtent(Timestamp.of(0), Timestamp.of(4))
+    wm = WindowModel(extent)
+    wm.slide(stream, extent, tbox)
+    rng = random.Random(seed)
+    removed = [o for o in sorted(wm.asserted_occurrences(), key=lambda o: o.sort_key)
+               if rng.random() < 0.3]
+    apply_repair(wm, removed, tbox)
+    if wm.occurrences() != _scratch_window(wm.asserted_occurrences(), extent, tbox).occurrences():
+        return "retraction diverges from a rebuild of the survivors"
+    return None
+
+
+def _scratch_window(survivors, extent, tbox):
+    """A window built tick by tick from the given asserted occurrences."""
+    by_ts = {}
+    for o in survivors:
+        by_ts.setdefault(o.timestamp, set()).add(o.atom)
+    scratch = WindowModel(extent)
+    for t in sorted(by_ts):
+        scratch.add_abox(MomentaryABox(t, frozenset(by_ts[t])), tbox)
+    return scratch
 
 
 def check_rewrite(seed):

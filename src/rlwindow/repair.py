@@ -12,16 +12,22 @@ its homes.
 
 Removing an asserted occurrence retracts its consequences by overdeletion and
 rederivation: every derived occurrence reachable through a derivation that
-used a removed or marked occurrence is marked, the marks are deleted, and the
-fixpoint is re-run so facts with surviving support return, possibly homed at
-a newer timestamp.
+used a removed or marked occurrence is marked, and the marks are deleted.
+Only marked occurrences can come back, since removal only shrinks the set of
+body instantiations and unmarked occurrences are never deleted. A backward
+check restores each marked occurrence that some positive axiom still derives
+in one step from the survivors, and the ordinary semi-naive rounds run from
+the restored ones to bring back the rest (the backward/forward check of Motik
+et al., AAAI 2015, refining DRed, Gupta et al., SIGMOD 1993). A fact with
+surviving support returns only at the homes it still achieves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .ontology import RoleInverse
+from .ontology import ConceptInclusion, RoleInverse
 from .stream import ConceptAtom, MomentaryABox, Occurrence, RoleAtom
 from .window import OccurrenceIndex, _Probe
 
@@ -32,11 +38,11 @@ class ConflictSet:
     violated_body: object
     binding: str
 
-    @property
+    @cached_property
     def min_timestamp(self):
         return min(o.timestamp for o in self.occurrences)
 
-    @property
+    @cached_property
     def min_set(self):
         oldest = self.min_timestamp
         return frozenset(o for o in self.occurrences if o.timestamp == oldest)
@@ -163,10 +169,13 @@ def resolve_conflicts(conflicts):
 def apply_repair(wm, removed, tbox):
     """Retract asserted occurrences and restore the materialization.
 
-    Classic delete-and-rederive: marks spread through any derivation using a
-    removed or marked occurrence, marked occurrences are deleted unless still
-    asserted, and the fixpoint re-runs from the survivors so over-deleted
-    facts come back, re-homed to their newest remaining support.
+    Marks spread through any derivation using a removed or marked
+    occurrence, and marked occurrences are deleted unless still asserted.
+    Rederivation then looks at marked occurrences only: a backward check
+    restores those a positive axiom still derives in one step from the
+    survivors, and semi-naive rounds from the restored occurrences bring
+    back the ones whose surviving derivations use other restored marks.
+    Each fact keeps exactly the homes it still achieves.
     Returns (overdeleted, rederived) occurrence counts.
     """
     removed = set(removed)
@@ -179,11 +188,44 @@ def apply_repair(wm, removed, tbox):
         marked = _overdelete(wm, removed, tbox)
         for occ in marked:
             wm._discard(wm._index, occ.atom, occ.timestamp)
+        restored = _backward_check(wm, marked, tbox)
+        seed = OccurrenceIndex()
+        for atom, h in restored:
+            wm._insert(atom, h, asserted=False)
+            seed.add(atom, h)
+        rederived = len(restored) + wm._fixpoint(tbox, seed, check_negatives=False)
+    return len(marked), rederived
 
-        # Rederivation: one full pass finds marked occurrences with surviving
-        # support, then the ordinary semi-naive rounds propagate from those.
-        restored = wm._fixpoint(tbox, wm._index.copy(), check_negatives=False)
-    return len(marked), restored
+
+def _backward_check(wm, marked, tbox):
+    """The marked occurrences that a positive axiom derives in one step from
+    the window's index: (atom, h) where h is an achievable home of a body
+    with head atom. The index is only read, so one probe serves them all."""
+    bodies, subroles = {}, {}
+    for ax in tbox.positive_axioms:
+        if isinstance(ax, ConceptInclusion):
+            bodies.setdefault(ax.head, []).append(ax.body)
+        else:
+            subroles.setdefault(ax.sup.name, []).append(ax.sub)
+    probe = _Probe(wm._index, OccurrenceIndex())
+    restored = []
+    for occ in marked:
+        atom, h = occ
+        if isinstance(atom, ConceptAtom):
+            x = atom.individual
+            if any(h in probe.at(body, x) for body in bodies.get(atom.concept, ())):
+                restored.append(occ)
+        elif any(h in wm._index.homes(_sub_atom(sub, atom))
+                 for sub in subroles.get(atom.role, ())):
+            restored.append(occ)
+    return restored
+
+
+def _sub_atom(sub, atom):
+    """The atom of role expression sub that places the role atom's pair in it."""
+    if isinstance(sub, RoleInverse):
+        return RoleAtom(sub.name, atom.obj, atom.subject)
+    return RoleAtom(sub.name, atom.subject, atom.obj)
 
 
 def _overdelete(wm, removed, tbox):

@@ -228,6 +228,46 @@ def test_removing_a_non_asserted_occurrence_is_rejected():
         apply_repair(wm, {occ(catom("A", "a"), 2)}, tbox)  # wrong timestamp
 
 
+def test_removed_assertion_still_derivable_at_its_home_stays_derived():
+    tbox = parse_tbox("B < A")
+    wm = build_window(ext(1, 2), [box(1, catom("A", "a"), catom("B", "a"))], tbox)
+    assert apply_repair(wm, {A1}, tbox) == (1, 1)
+    assert wm.homes(catom("A", "a")) == {ts(1)}
+    assert wm.asserted_occurrences() == {B1}
+
+
+def test_role_atom_restored_through_an_inverse_subrole():
+    tbox = parse_tbox("inv(s) < r")
+    r1 = occ(ratom("r", "a", "b"), 1)
+    wm = build_window(ext(1, 2), [box(1, ratom("r", "a", "b"), ratom("s", "b", "a"))], tbox)
+    assert apply_repair(wm, {r1}, tbox) == (1, 1)
+    assert wm.homes(ratom("r", "a", "b")) == {ts(1)}
+    assert wm.homes(ratom("r", "b", "a")) == set()
+    assert r1 not in wm.asserted_occurrences()
+
+
+def test_marks_derived_only_from_restored_marks_return_in_forward_rounds(monkeypatch):
+    # Removing A(a)@1 marks C(a)@1 and D(a)@1. C(a)@1 is still derived from
+    # B(a)@1, but D(a)@1 only from C(a)@1, itself marked: the backward check
+    # restores C and the semi-naive rounds from it restore D.
+    tbox = parse_tbox("A < C\nB < C\nC < D")
+    wm = build_window(ext(1, 2), [box(1, catom("A", "a"), catom("B", "a"))], tbox)
+    inserted = []
+    fixpoint = WindowModel._fixpoint
+
+    def spy(self, tbox, delta, check_negatives=True):
+        before = self.occurrences()
+        count = fixpoint(self, tbox, delta, check_negatives)
+        inserted.append(self.occurrences() - before)
+        return count
+
+    monkeypatch.setattr(WindowModel, "_fixpoint", spy)
+    assert apply_repair(wm, {A1}, tbox) == (3, 2)
+    assert inserted == [{occ(catom("D", "a"), 1)}]
+    scratch = build_window(ext(1, 2), [box(1, catom("B", "a"))], tbox)
+    assert wm.occurrences() == scratch.occurrences()
+
+
 # -- add_abox_with_repair --------------------------------------------------------
 
 def test_repairing_add_keeps_the_newer_facts():
@@ -375,6 +415,37 @@ def test_apply_repair_equals_scratch_rebuild(seed):
     assert wm.occurrences() == scratch.occurrences()
 
 
+class _Planted(Exception):
+    pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_apply_repair_only_shrinks_and_counts_what_it_removes(seed):
+    tbox = random_tbox(seed, n_negative=0, acyclic=False)
+    stream = random_stream(seed + 1, n_ticks=5, atoms_per_tick=3)
+    wm = build_window(ext(0, 4), stream, tbox)
+    rng = random.Random(seed)
+    removed = {o for o in wm.asserted_occurrences() if rng.random() < 0.3}
+    before = wm.copy()
+
+    fixpoint = WindowModel._fixpoint
+
+    def raising(self, tbox, delta, check_negatives=True):
+        fixpoint(self, tbox, delta, check_negatives)
+        raise _Planted
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(WindowModel, "_fixpoint", raising)
+        with pytest.raises(_Planted):
+            apply_repair(wm, removed, tbox)
+    assert vars(wm) == vars(before)
+
+    overdeleted, rederived = apply_repair(wm, removed, tbox)
+    assert wm.occurrences() <= before.occurrences()
+    assert before._index.size() - wm._index.size() == overdeleted - rederived
+
+
 def _brute_supports(expr, x, occs):
     """Every occurrence set placing x in expr, by scanning all of occs."""
     if isinstance(expr, ConceptName):
@@ -483,10 +554,6 @@ def _assert_buckets_invert_homes(wm):
                     inverse.setdefault(t, set()).add(RoleAtom(name, *pair))
         assert index.by_home == inverse
         assert index.size() == len(index.occurrences())
-
-
-class _Planted(Exception):
-    pass
 
 
 @settings(max_examples=60, deadline=None)
