@@ -103,22 +103,6 @@ def canonicalize(expr):
     return out
 
 
-def concept_names_in(expr):
-    if isinstance(expr, ConceptName):
-        return {expr.name}
-    if isinstance(expr, Exists):
-        return concept_names_in(expr.filler)
-    return concept_names_in(expr.left) | concept_names_in(expr.right)
-
-
-def role_names_in(expr):
-    if isinstance(expr, ConceptName):
-        return set()
-    if isinstance(expr, Exists):
-        return {expr.role.name} | role_names_in(expr.filler)
-    return role_names_in(expr.left) | role_names_in(expr.right)
-
-
 # ---------------------------------------------------------------------------
 # axioms and TBoxes
 
@@ -140,9 +124,6 @@ class RoleInclusion:
     sup: RoleExpr
 
 
-Axiom = ConceptInclusion | NegativeInclusion | RoleInclusion
-
-
 def canonical_axiom(ax):
     """Canonicalize bodies; normalize role inclusions so the superrole is a
     plain name (inverting both sides leaves the axiom's meaning unchanged)."""
@@ -160,6 +141,11 @@ class TBox:
     """An ordered, duplicate-free collection of canonicalized axioms.
 
     Order is kept for deterministic rule iteration; equality is by axiom set.
+    The axioms are grouped once, on construction: by shape, into
+    concept_inclusions, negative_inclusions, role_inclusions and
+    positive_axioms (the concept and role inclusions in axiom order), and by
+    what they define, into bodies (concept head -> the bodies included in
+    it) and subroles (superrole name -> its sub-role expressions).
     """
 
     def __init__(self, axioms):
@@ -169,6 +155,15 @@ class TBox:
             if ax not in seen:
                 seen.append(ax)
         self.axioms = tuple(seen)
+        self.concept_inclusions = tuple(a for a in seen if isinstance(a, ConceptInclusion))
+        self.negative_inclusions = tuple(a for a in seen if isinstance(a, NegativeInclusion))
+        self.role_inclusions = tuple(a for a in seen if isinstance(a, RoleInclusion))
+        self.positive_axioms = tuple(a for a in seen if not isinstance(a, NegativeInclusion))
+        self.bodies, self.subroles = {}, {}
+        for ax in self.concept_inclusions:
+            self.bodies[ax.head] = self.bodies.get(ax.head, ()) + (ax.body,)
+        for ax in self.role_inclusions:
+            self.subroles[ax.sup.name] = self.subroles.get(ax.sup.name, ()) + (ax.sub,)
 
     def __eq__(self, other):
         return isinstance(other, TBox) and frozenset(self.axioms) == frozenset(other.axioms)
@@ -178,35 +173,6 @@ class TBox:
 
     def __repr__(self):
         return f"TBox({len(self.axioms)} axioms)"
-
-    @property
-    def concept_inclusions(self):
-        return tuple(a for a in self.axioms if isinstance(a, ConceptInclusion))
-
-    @property
-    def negative_inclusions(self):
-        return tuple(a for a in self.axioms if isinstance(a, NegativeInclusion))
-
-    @property
-    def role_inclusions(self):
-        return tuple(a for a in self.axioms if isinstance(a, RoleInclusion))
-
-    @property
-    def positive_axioms(self):
-        return tuple(a for a in self.axioms
-                     if isinstance(a, (ConceptInclusion, RoleInclusion)))
-
-    def signature(self):
-        concepts, roles = set(), set()
-        for ax in self.axioms:
-            if isinstance(ax, RoleInclusion):
-                roles |= {ax.sub.name, ax.sup.name}
-            else:
-                concepts |= concept_names_in(ax.body)
-                roles |= role_names_in(ax.body)
-                if isinstance(ax, ConceptInclusion):
-                    concepts.add(ax.head)
-        return concepts, roles
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +377,6 @@ class UnfoldedNegative:
 
 @dataclass(frozen=True)
 class NormalizedTBox:
-    base: TBox
     entries: tuple[UnfoldedNegative, ...]
 
     @cached_property
@@ -442,7 +407,7 @@ def _share(expr, table):
     return table.setdefault(expr, expr)
 
 
-def _single_substitutions(expr, cdefs, rdefs):
+def _single_substitutions(expr, tbox):
     """Rewrite one occurrence of one defined name per result.
 
     One occurrence at a time keeps mixed forms reachable: in a body using a
@@ -451,17 +416,17 @@ def _single_substitutions(expr, cdefs, rdefs):
     """
     out = []
     if isinstance(expr, ConceptName):
-        out.extend(cdefs.get(expr.name, ()))
+        out.extend(tbox.bodies.get(expr.name, ()))
     elif isinstance(expr, Conj):
-        for left in _single_substitutions(expr.left, cdefs, rdefs):
+        for left in _single_substitutions(expr.left, tbox):
             out.append(Conj(left, expr.right))
-        for right in _single_substitutions(expr.right, cdefs, rdefs):
+        for right in _single_substitutions(expr.right, tbox):
             out.append(Conj(expr.left, right))
     else:
-        for sub in rdefs.get(expr.role.name, ()):
+        for sub in tbox.subroles.get(expr.role.name, ()):
             role = sub if isinstance(expr.role, RoleName) else invert_role(sub)
             out.append(Exists(role, expr.filler))
-        for filler in _single_substitutions(expr.filler, cdefs, rdefs):
+        for filler in _single_substitutions(expr.filler, tbox):
             out.append(Exists(expr.role, filler))
     return out
 
@@ -472,20 +437,13 @@ def unfold_negative_inclusions(tbox, max_depth, body_cap=10_000):
 
     Every defined concept name (the head of some concept inclusion) and every
     defined role name (the superrole of some role inclusion) is repeatedly
-    replaced by its defining bodies, keeping the unreplaced form as well since
-    the name may also be asserted directly. When a substitution pass adds
-    nothing new the set is closed and the status is Exact; if max_depth passes
-    still produce new bodies the result is Truncated and deeper derivations
-    can escape detection. More than body_cap bodies for one inclusion raises
-    BudgetExceeded.
+    replaced by its defining bodies (tbox.bodies and tbox.subroles), keeping
+    the unreplaced form as well since the name may also be asserted directly.
+    When a substitution pass adds nothing new the set is closed and the
+    status is Exact; if max_depth passes still produce new bodies the result
+    is Truncated and deeper derivations can escape detection. More than
+    body_cap bodies for one inclusion raises BudgetExceeded.
     """
-    cdefs = {}
-    for ax in tbox.concept_inclusions:
-        cdefs.setdefault(ax.head, []).append(ax.body)
-    rdefs = {}
-    for ax in tbox.role_inclusions:
-        rdefs.setdefault(ax.sup.name, []).append(ax.sub)
-
     entries = []
     for neg in tbox.negative_inclusions:
         bodies = [canonicalize(neg.body)]
@@ -496,7 +454,7 @@ def unfold_negative_inclusions(tbox, max_depth, body_cap=10_000):
         while True:
             fresh = []
             for b in sorted(frontier, key=struct_key):
-                for cand in _single_substitutions(b, cdefs, rdefs):
+                for cand in _single_substitutions(b, tbox):
                     cand = canonicalize(cand)
                     if cand not in known:
                         known.add(cand)
@@ -519,5 +477,5 @@ def unfold_negative_inclusions(tbox, max_depth, body_cap=10_000):
             bodies=tuple(sorted(bodies, key=struct_key)),
             status=status,
         ))
-    return NormalizedTBox(base=tbox, entries=tuple(entries))
+    return NormalizedTBox(entries=tuple(entries))
 

@@ -2,10 +2,12 @@
 
 A conflict set is a minimally inconsistent set of asserted occurrences: it
 matches one of the flattened negative bodies under the plain asserted facts,
-and no proper subset does. Resolution prefers newer information. Conflicts
-whose oldest members are most recent are handled first; each sheds its oldest
-occurrences, and anything those removals already resolve is dropped before
-older conflicts get a say. Removals are permanent for the life of the stream.
+and no proper subset does. Resolution prefers newer information, by one rule
+applied rank by rank: the conflicts whose oldest members are most recent shed
+their oldest slices, except a slice that another slice of the same rank
+strictly contains, and every conflict that contains a shed slice is dropped
+before older conflicts get a say. Removals are permanent for the life of the
+stream.
 Conflicts are enumerated by the materializer's semi-naive evaluator,
 window._Probe, annotating each instantiation with its supports instead of
 its homes.
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .ontology import ConceptInclusion, RoleInverse
+from .ontology import RoleInverse
 from .stream import ConceptAtom, MomentaryABox, Occurrence, RoleAtom
 from .window import OccurrenceIndex, _Probe
 
@@ -127,38 +129,24 @@ def find_conflicts(current, incoming, ntbox):
 
 
 def resolve_conflicts(conflicts):
-    """Pick the occurrences to retract, newest conflicts first.
+    """Pick the occurrences to retract, newest conflicts first, by one rule.
 
-    Conflicts are ranked by the timestamp of their oldest members; the most
-    recent rank is processed each round. A conflict whose oldest member is
-    unique sheds exactly that occurrence. Remaining conflicts of the rank
-    shed their whole oldest slice when no smaller oldest slice in the rank
-    undercuts it. Every conflict already touched by the removals so far is
-    discharged before older ranks are considered.
+    Each round takes the live conflicts whose oldest timestamp is the
+    newest, sheds each of their oldest slices (min_set) that no other slice
+    of that rank strictly undercuts, and discharges every live conflict that
+    contains a shed slice. A conflict with a unique oldest member sheds just
+    that member, since a singleton is never undercut. Returns the union of
+    the shed slices.
     """
     removed = set()
-    chosen_slices = []
     live = list(conflicts)
     while live:
         newest = max(c.min_timestamp for c in live)
-        rank = [c for c in live if c.min_timestamp == newest]
-        for c in rank:
-            if len(c.min_set) == 1:
-                removed |= c.min_set
-        live = [c for c in live if not (c.occurrences & removed)]
-        rank_slices = [c.min_set for c in rank]
-        still_live = {id(c) for c in live}
-        for c in rank:
-            if id(c) not in still_live:
-                continue
-            if any(other < c.min_set for other in rank_slices):
-                continue
-            if c.min_set not in chosen_slices:
-                chosen_slices.append(c.min_set)
-        live = [c for c in live
-                if not any(s <= c.occurrences for s in chosen_slices)]
-    for s in chosen_slices:
-        removed |= s
+        slices = {c.min_set for c in live if c.min_timestamp == newest}
+        shed = [s for s in slices if not any(other < s for other in slices)]
+        for s in shed:
+            removed |= s
+        live = [c for c in live if not any(s <= c.occurrences for s in shed)]
     return frozenset(removed)
 
 
@@ -193,7 +181,7 @@ def apply_repair(wm, removed, tbox):
         for atom, h in restored:
             wm._insert(atom, h, asserted=False)
             seed.add(atom, h)
-        rederived = len(restored) + wm._fixpoint(tbox, seed, check_negatives=False)
+        rederived = len(restored) + wm._fixpoint(tbox, seed)
     return len(marked), rederived
 
 
@@ -201,22 +189,16 @@ def _backward_check(wm, marked, tbox):
     """The marked occurrences that a positive axiom derives in one step from
     the window's index: (atom, h) where h is an achievable home of a body
     with head atom. The index is only read, so one probe serves them all."""
-    bodies, subroles = {}, {}
-    for ax in tbox.positive_axioms:
-        if isinstance(ax, ConceptInclusion):
-            bodies.setdefault(ax.head, []).append(ax.body)
-        else:
-            subroles.setdefault(ax.sup.name, []).append(ax.sub)
     probe = _Probe(wm._index, OccurrenceIndex())
     restored = []
     for occ in marked:
         atom, h = occ
         if isinstance(atom, ConceptAtom):
             x = atom.individual
-            if any(h in probe.at(body, x) for body in bodies.get(atom.concept, ())):
+            if any(h in probe.at(body, x) for body in tbox.bodies.get(atom.concept, ())):
                 restored.append(occ)
         elif any(h in wm._index.homes(_sub_atom(sub, atom))
-                 for sub in subroles.get(atom.role, ())):
+                 for sub in tbox.subroles.get(atom.role, ())):
             restored.append(occ)
     return restored
 

@@ -426,18 +426,18 @@ class WindowModel:
 
     # -- reasoning ----------------------------------------------------------
 
-    def _fixpoint(self, tbox, delta, check_negatives=True):
+    def _fixpoint(self, tbox, delta):
         """Close the index under the positive axioms, semi-naive from the
         seed occurrences in the OccurrenceIndex delta, which the index must
-        already hold. Returns the number of occurrences inserted."""
+        already hold. Raises UnexpectedInconsistency when a round instantiates
+        a negative inclusion. Returns the number of occurrences inserted."""
         inserted = 0
         while delta.size():
             probe = _Probe(self._index, delta)
-            if check_negatives:
-                for ax in tbox.negative_inclusions:
-                    hit = probe.fresh(ax.body)
-                    if hit:
-                        raise UnexpectedInconsistency(ax, min(hit))
+            for ax in tbox.negative_inclusions:
+                hit = probe.fresh(ax.body)
+                if hit:
+                    raise UnexpectedInconsistency(ax, min(hit))
             additions = []
             for atom, homes in probe.consequences(tbox):
                 have = self._index.homes(atom)

@@ -94,12 +94,6 @@ def test_duplicate_axioms_collapse():
     assert len(tbox.axioms) == 1
 
 
-def test_signature():
-    concepts, roles = parse_tbox("A & some R . B < D\ninv(P) < Q").signature()
-    assert concepts == {"A", "B", "D"}
-    assert roles == {"R", "P", "Q"}
-
-
 # -- canonical form ----------------------------------------------------------
 
 def test_canonicalize_sorts_flattens_dedupes():

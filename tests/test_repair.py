@@ -186,6 +186,33 @@ def test_smaller_oldest_slice_undercuts_larger_one():
     assert q not in removed and r not in removed
 
 
+def test_overlapping_slices_of_one_rank_are_both_shed():
+    p, q, r, s = (occ(catom(n, "a"), 1) for n in "PQRS")
+    left = ConflictSet(frozenset({p, q, occ(catom("T", "a"), 2)}), None, "a")
+    right = ConflictSet(frozenset({q, r, occ(catom("U", "a"), 2)}), None, "a")
+    wide = ConflictSet(frozenset({p, q, s, occ(catom("V", "a"), 2)}), None, "a")
+    # {P, Q} and {Q, R} overlap and neither undercuts the other, so both go;
+    # {P, Q, S} strictly contains {P, Q}, so S survives.
+    assert resolve_conflicts([left, right, wide]) == frozenset({p, q, r})
+
+
+_POOL = [occ(catom(n, "a"), t) for n in "ABCDE" for t in range(4)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.frozensets(st.sampled_from(_POOL), min_size=1, max_size=4),
+                max_size=8))
+def test_resolution_sheds_whole_oldest_slices_that_cover_every_conflict(families):
+    # Random families, minimal or not, rather than only what find_conflicts
+    # returns.
+    conflicts = [ConflictSet(occs, None, "a") for occs in families]
+    removed = resolve_conflicts(conflicts)
+    shed = [c.min_set for c in conflicts if c.min_set <= removed]
+    assert removed == frozenset().union(*shed)
+    for c in conflicts:
+        assert any(s <= c.occurrences for s in shed)
+
+
 # -- applying removals ---------------------------------------------------------
 
 def test_removing_the_sole_premise_deletes_the_consequence():
@@ -255,9 +282,9 @@ def test_marks_derived_only_from_restored_marks_return_in_forward_rounds(monkeyp
     inserted = []
     fixpoint = WindowModel._fixpoint
 
-    def spy(self, tbox, delta, check_negatives=True):
+    def spy(self, tbox, delta):
         before = self.occurrences()
-        count = fixpoint(self, tbox, delta, check_negatives)
+        count = fixpoint(self, tbox, delta)
         inserted.append(self.occurrences() - before)
         return count
 
@@ -364,6 +391,23 @@ def test_repair_matches_the_definitional_oracle(seed):
     assert wm.asserted_occurrences() == set(expect)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "FOUND in CHANGES.md: resolve_conflicts keeps an occurrence that "
+    "definitional_window_repair drops, because a newer rank's removal "
+    "discharges an older conflict"))
+@pytest.mark.parametrize("seed, end", [(936, 3), (992, 5), (1806, 3)])
+def test_repair_on_longer_streams_matches_the_definitional_oracle(seed, end):
+    tbox, ntbox = _repair_tbox(seed)
+    if not ntbox.is_exact:
+        pytest.fail("the oracle is only comparable on an exact rewrite")
+    stream = random_stream(seed + 1, n_ticks=6, atoms_per_tick=4,
+                           n_individuals=2, n_concepts=5, n_roles=2)
+    extent = ext(0, end)
+    wm = build_window(extent, stream, tbox, ntbox, repair=True)
+    expect = definitional_window_repair(stream, extent, tbox)
+    assert wm.asserted_occurrences() == set(expect)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=100_000))
 def test_repaired_windows_stay_consistent(seed):
@@ -431,8 +475,8 @@ def test_apply_repair_only_shrinks_and_counts_what_it_removes(seed):
 
     fixpoint = WindowModel._fixpoint
 
-    def raising(self, tbox, delta, check_negatives=True):
-        fixpoint(self, tbox, delta, check_negatives)
+    def raising(self, tbox, delta):
+        fixpoint(self, tbox, delta)
         raise _Planted
 
     with pytest.MonkeyPatch.context() as mp:
