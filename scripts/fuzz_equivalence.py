@@ -7,7 +7,11 @@ Modes:
                    and the repaired materialization (atoms and homes) vs a
                    window built from scratch out of the survivors, re-checked
                    after every slide (suffix stability); then random
-                   retractions under a cyclic TBox vs the same rebuild
+                   retractions under a cyclic TBox vs the same rebuild;
+                   then ticks under a cyclic TBox rewritten to depth 1,
+                   where conflicts can escape the rewrite: each tick raises
+                   UnexpectedInconsistency and leaves the model as it was,
+                   or leaves survivors the chase finds consistent
   rewrite          flattened negative bodies vs chase inconsistency
 
 Exits non-zero if any case disagrees, printing the offending seed.
@@ -21,6 +25,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from rlwindow.errors import UnexpectedInconsistency
 from rlwindow.interpretation import (Inconsistent, canonical_model,
                                      eval_concept, standard_interpretation)
 from rlwindow.ontology import unfold_negative_inclusions
@@ -54,7 +59,8 @@ def _exact_tbox(seed):
 
 
 def check_repair(seed):
-    return _check_repaired_slides(seed) or _check_retraction(seed)
+    return (_check_repaired_slides(seed) or _check_retraction(seed)
+            or _check_truncated_ticks(seed))
 
 
 def _check_repaired_slides(seed):
@@ -94,6 +100,29 @@ def _check_retraction(seed):
     apply_repair(wm, removed, tbox)
     if wm.occurrences() != _scratch_window(wm.asserted_occurrences(), extent, tbox).occurrences():
         return "retraction diverges from a rebuild of the survivors"
+    return None
+
+
+def _check_truncated_ticks(seed):
+    """Add ticks one by one under a cyclic TBox whose negative inclusions are
+    rewritten to depth 1 only, so some conflicts are not enumerated."""
+    tbox = random_tbox(seed, n_concepts=4, n_roles=2, n_axioms=6, n_negative=2,
+                       acyclic=False)
+    ntbox = unfold_negative_inclusions(tbox, 1)
+    stream = random_stream(seed + 1, n_ticks=6, atoms_per_tick=3,
+                           n_individuals=2, n_concepts=4, n_roles=2)
+    wm = WindowModel(WindowExtent(Timestamp.of(0), Timestamp.of(5)))
+    for box in stream:
+        before = wm.copy()
+        try:
+            add_abox_with_repair(wm, box, tbox, ntbox)
+        except UnexpectedInconsistency:
+            if vars(wm) != vars(before):
+                return f"tick {box.timestamp} raised and changed the model"
+            continue
+        survivors = {o.atom for o in wm.asserted_occurrences()}
+        if isinstance(canonical_model(survivors, tbox), Inconsistent):
+            return f"survivors after tick {box.timestamp} violate a negative inclusion"
     return None
 
 

@@ -431,6 +431,21 @@ def _single_substitutions(expr, tbox):
     return out
 
 
+def _substitution_pass(frontier, known, tbox, limit):
+    """The new bodies of one substitution pass over the frontier, added to
+    known, stopping once there are limit of them."""
+    fresh = []
+    for b in sorted(frontier, key=struct_key):
+        for cand in _single_substitutions(b, tbox):
+            cand = canonicalize(cand)
+            if cand not in known:
+                known.add(cand)
+                fresh.append(cand)
+                if len(fresh) == limit:
+                    return fresh
+    return fresh
+
+
 def unfold_negative_inclusions(tbox, max_depth, body_cap=10_000):
     """Rewrite each negative inclusion into a set of bodies that can be
     matched against asserted atoms alone.
@@ -442,28 +457,25 @@ def unfold_negative_inclusions(tbox, max_depth, body_cap=10_000):
     When a substitution pass adds nothing new the set is closed and the
     status is Exact; if max_depth passes still produce new bodies the result
     is Truncated and deeper derivations can escape detection. More than
-    body_cap bodies for one inclusion raises BudgetExceeded.
+    body_cap bodies for one inclusion raises BudgetExceeded, as soon as a
+    kept pass reaches that many.
     """
     entries = []
     for neg in tbox.negative_inclusions:
         bodies = [canonicalize(neg.body)]
         known = set(bodies)
         frontier = list(bodies)
-        status = None
         rounds = 0
         while True:
-            fresh = []
-            for b in sorted(frontier, key=struct_key):
-                for cand in _single_substitutions(b, tbox):
-                    cand = canonicalize(cand)
-                    if cand not in known:
-                        known.add(cand)
-                        fresh.append(cand)
+            # The pass after max_depth is only a peek for one new body, and
+            # is discarded.
+            peek = rounds == max_depth
+            fresh = _substitution_pass(frontier, known, tbox,
+                                       1 if peek else body_cap + 1 - len(bodies))
             if not fresh:
                 status = Exact()
                 break
-            if rounds == max_depth:
-                # This pass was only a peek past the budget; discard it.
+            if peek:
                 status = Truncated(max_depth)
                 break
             rounds += 1

@@ -8,9 +8,10 @@ their oldest slices, except a slice that another slice of the same rank
 strictly contains, and every conflict that contains a shed slice is dropped
 before older conflicts get a say. Removals are permanent for the life of the
 stream.
-Conflicts are enumerated by the materializer's semi-naive evaluator,
-window._Probe, annotating each instantiation with its supports instead of
-its homes.
+A tick is ingested first, and conflicts are enumerated only at the bindings
+where its fixpoint instantiated a negative inclusion, by the materializer's
+evaluator, window._Probe, annotating each instantiation with its supports
+instead of its homes. A tick without such a clash enumerates nothing.
 
 Removing an asserted occurrence retracts its consequences by overdeletion and
 rederivation: every derived occurrence reachable through a derivation that
@@ -83,7 +84,7 @@ class _Supports(_Probe):
         return {frozenset({Occurrence(atom, t)}) for t in homes}
 
 
-def find_conflicts(current, incoming, ntbox):
+def find_conflicts(current, incoming, ntbox, bindings=None):
     """The minimal conflicts that use at least one incoming occurrence.
 
     A conflict is an occurrence-set instantiation of a flattened negative
@@ -92,6 +93,12 @@ def find_conflicts(current, incoming, ntbox):
     that use an incoming occurrence are enumerated, and one is dropped when
     a smaller such instantiation (from any body) is contained in it.
     Distinct timestamped copies of the same atoms give distinct conflicts.
+
+    Supports are enumerated only at the roots in `bindings`, which must hold
+    the binding of every such instantiation: the engine passes the bindings
+    where the tick's fixpoint clashed. When omitted, they are the roots at
+    which one home-annotated pass finds a flattened body instantiated with
+    an incoming occurrence.
 
     The incoming occurrences are added to `current` for the enumeration and
     the ones it did not already hold are taken out again before returning,
@@ -106,14 +113,19 @@ def find_conflicts(current, incoming, ntbox):
         current = OccurrenceIndex(current)
     arriving = incoming.occurrences()
     added = [o for o in arriving if current.add(o.atom, o.timestamp)]
+    bodies = ntbox.flattened_negatives
     try:
-        supports = _Supports(current, OccurrenceIndex(arriving))
+        if bindings is None:
+            probe = _Probe(current, OccurrenceIndex(arriving))
+            bindings = {x for body in bodies for x in probe.fresh(body)}
+        roots = sorted(bindings)
+        supports = _Supports(current, OccurrenceIndex())
         found = {}  # support -> (body, binding) of its first instantiation
-        for body in ntbox.flattened_negatives:
-            by_binding = supports.fresh(body)
-            for x in sorted(by_binding):
-                for supp in by_binding[x]:
-                    found.setdefault(supp, (body, x))
+        for body in bodies:
+            for x in roots:
+                for supp in supports.at(body, x):
+                    if not supp.isdisjoint(arriving):
+                        found.setdefault(supp, (body, x))
     finally:
         for o in added:
             current.discard(o.atom, o.timestamp)
@@ -181,7 +193,7 @@ def apply_repair(wm, removed, tbox):
         for atom, h in restored:
             wm._insert(atom, h, asserted=False)
             seed.add(atom, h)
-        rederived = len(restored) + wm._fixpoint(tbox, seed)
+        rederived = len(restored) + wm._fixpoint(tbox, seed)[0]
     return len(marked), rederived
 
 
@@ -229,25 +241,47 @@ def _overdelete(wm, removed, tbox):
     return marked
 
 
-def add_abox_with_repair(wm, abox, tbox, ntbox):
-    """Resolve the conflicts the incoming ABox raises, then add what survives.
+class _Unresolved(Exception):
+    """A clash outlived the repair of a provisionally ingested tick."""
 
-    Occurrences removed from already-loaded entries are retracted with their
-    consequences; occurrences removed from the incoming ABox simply never
-    enter. Returns (wm, RepairReport).
+
+def add_abox_with_repair(wm, abox, tbox, ntbox):
+    """Add the incoming ABox, resolving the conflicts it raises.
+
+    The tick is ingested once, in a nested atomic block, and the fixpoint
+    records where the closure instantiates a negative inclusion. A tick with
+    no clash is done. Otherwise the conflicts are enumerated at the clash
+    bindings only, resolved newest-first, and every removed occurrence, older
+    or incoming, is retracted with its consequences from the provisional
+    closure. If a recorded clash still holds then, which only a truncated
+    rewrite allows, the block rolls back and the tick is replayed as
+    retraction of the older removals followed by add_abox of the surviving
+    incoming atoms, which raises UnexpectedInconsistency as add_abox does.
+    Returns (wm, RepairReport).
     """
     with wm._atomic():
-        conflicts = find_conflicts(wm._asserted, abox, ntbox)
-        removed = resolve_conflicts(conflicts)
-        existing = frozenset(o for o in removed if o.timestamp < abox.timestamp)
-        overdeleted = rederived = 0
-        if existing:
-            overdeleted, rederived = apply_repair(wm, existing, tbox)
-        dropped_now = {o.atom for o in removed if o.timestamp == abox.timestamp}
-        surviving = MomentaryABox(abox.timestamp, frozenset(abox.atoms - dropped_now))
-        wm.add_abox(surviving, tbox)
+        try:
+            with wm._atomic():
+                clashes = wm._ingest(abox, tbox)
+                if not clashes:
+                    return wm, RepairReport(removed=frozenset(), conflicts=())
+                conflicts = find_conflicts(wm._asserted, abox, ntbox,
+                                           {x for _, x in clashes})
+                removed = resolve_conflicts(conflicts)
+                overdeleted, rederived = apply_repair(wm, removed, tbox)
+                probe = _Probe(wm._index, OccurrenceIndex())
+                if any(probe.at(ax.body, x) for ax, x in clashes):
+                    raise _Unresolved
+        except _Unresolved:
+            existing = frozenset(o for o in removed if o.timestamp < abox.timestamp)
+            overdeleted = rederived = 0
+            if existing:
+                overdeleted, rederived = apply_repair(wm, existing, tbox)
+            dropped_now = {o.atom for o in removed if o.timestamp == abox.timestamp}
+            surviving = MomentaryABox(abox.timestamp, frozenset(abox.atoms - dropped_now))
+            wm.add_abox(surviving, tbox)
     return wm, RepairReport(
-        removed=frozenset(removed),
+        removed=removed,
         conflicts=tuple(conflicts),
         overdeleted=overdeleted,
         rederived=rederived,

@@ -15,7 +15,10 @@ Adding a momentary ABox runs a semi-naive fixpoint: each round only considers
 rule-body instantiations that use at least one occurrence added in the
 previous round, probing the rest of the body against the full index. That
 round is _Probe, the engine's one rule-body evaluator, annotated with homes
-here and with supports in conflict enumeration (repair._Supports).
+here and with supports in conflict enumeration (repair._Supports). Each
+round also records where it instantiates a negative inclusion: add_abox
+raises for the first such clash, and repair enumerates conflicts at their
+bindings only.
 """
 
 from __future__ import annotations
@@ -352,27 +355,29 @@ class WindowModel:
 
     @contextmanager
     def _atomic(self):
-        """Run the block all-or-nothing: if it raises, every index change,
-        the entries and the extent are rolled back before the exception
-        propagates. A nested block rolls back with the outermost. Yields the
-        journal, which a nested block shares with the outermost."""
-        if self._journal is not None:
-            yield self._journal
-            return
-        journal = self._journal = []
+        """Run the block all-or-nothing: if it raises, every index change it
+        made, the entries and the extent are rolled back before the
+        exception propagates. A nested block is a savepoint: it shares the
+        outermost block's journal, and when it raises it undoes and drops
+        only its own suffix of it, so an enclosing block that catches the
+        exception goes on and may commit. Yields the journal."""
+        outer = self._journal
+        journal = self._journal = [] if outer is None else outer
+        start = len(journal)
         saved = (self.extent, list(self.entry_timestamps))
         try:
             yield journal
         except BaseException:
-            for index, atom, ts, added in reversed(journal):
+            for index, atom, ts, added in reversed(journal[start:]):
                 if added:
                     index.discard(atom, ts)
                 else:
                     index.add(atom, ts)
+            del journal[start:]
             self.extent, self.entry_timestamps = saved
             raise
         finally:
-            self._journal = None
+            self._journal = outer
 
     # -- views -------------------------------------------------------------
 
@@ -429,15 +434,19 @@ class WindowModel:
     def _fixpoint(self, tbox, delta):
         """Close the index under the positive axioms, semi-naive from the
         seed occurrences in the OccurrenceIndex delta, which the index must
-        already hold. Raises UnexpectedInconsistency when a round instantiates
-        a negative inclusion. Returns the number of occurrences inserted."""
+        already hold. Each round also records the negative inclusions it
+        instantiates with a fresh occurrence, as (axiom, binding) clashes in
+        round, axiom and binding order. On an index without a clash before
+        the seed, every binding of the closure's clashes is recorded.
+        Returns (occurrences inserted, clashes)."""
         inserted = 0
+        clashes = []
         while delta.size():
             probe = _Probe(self._index, delta)
             for ax in tbox.negative_inclusions:
                 hit = probe.fresh(ax.body)
                 if hit:
-                    raise UnexpectedInconsistency(ax, min(hit))
+                    clashes.extend((ax, x) for x in sorted(hit))
             additions = []
             for atom, homes in probe.consequences(tbox):
                 have = self._index.homes(atom)
@@ -447,25 +456,35 @@ class WindowModel:
                 if self._insert(atom, h, asserted=False):
                     delta.add(atom, h)
             inserted += delta.size()
-        return inserted
+        return inserted, clashes
 
-    def add_abox(self, abox, tbox):
-        """Append one momentary ABox, newest in the window, and restore the
-        materialization. Derived facts gain homes at the minimum timestamp of
-        each new instantiation; nothing already present is touched."""
+    def _ingest(self, abox, tbox):
+        """Append one momentary ABox, newest in the window, and close the
+        index under the positive axioms. Derived facts gain homes at the
+        minimum timestamp of each new instantiation; nothing already present
+        is touched. Returns the clashes the fixpoint recorded. Run inside an
+        atomic block."""
         ts = abox.timestamp
         if self.entry_timestamps and ts <= self.entry_timestamps[-1]:
             raise StaleTimestamp(
                 f"ABox at {ts} is not newer than loaded entry {self.entry_timestamps[-1]}")
         if not self.extent.contains(ts):
             raise StaleTimestamp(f"ABox at {ts} outside window {self.extent}")
+        self.entry_timestamps.append(ts)
+        seed = OccurrenceIndex()
+        for atom in abox.atoms:
+            if self._insert(atom, ts, asserted=True):
+                seed.add(atom, ts)
+        return self._fixpoint(tbox, seed)[1]
+
+    def add_abox(self, abox, tbox):
+        """Append one momentary ABox and restore the materialization (see
+        _ingest). Raises UnexpectedInconsistency for the first clash: the
+        first round, the first axiom in order, the smallest binding."""
         with self._atomic():
-            self.entry_timestamps.append(ts)
-            seed = OccurrenceIndex()
-            for atom in abox.atoms:
-                if self._insert(atom, ts, asserted=True):
-                    seed.add(atom, ts)
-            self._fixpoint(tbox, seed)
+            clashes = self._ingest(abox, tbox)
+            if clashes:
+                raise UnexpectedInconsistency(*clashes[0])
         return self
 
     def drop_before(self, cutoff):
@@ -497,8 +516,8 @@ class WindowModel:
         The report's changed set is read from the undo journal when the
         slide succeeds: the atoms of its entries on the window's index. The
         asserted index is left out, since an atom's printed line shows only
-        its homes, and so are the incoming occurrences that conflict
-        enumeration adds and takes out again, which are never journaled."""
+        its homes, and so are the entries of nested blocks that rolled back,
+        which drop their own entries."""
         if new_extent.start < self.extent.start or new_extent.end < self.extent.end:
             raise ValueError("windows only slide forward")
         with self._atomic() as journal:
