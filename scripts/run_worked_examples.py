@@ -12,9 +12,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from rlwindow.ontology import format_tbox, parse_tbox, unfold_negative_inclusions
+from rlwindow.ontology import format_tbox, parse_tbox
 from rlwindow.oracle import cross_check, preferred_repairs
-from rlwindow.repair import add_abox_with_repair, find_conflicts, resolve_conflicts
+from rlwindow.repair import add_abox_with_repair
 from rlwindow.stream import (ConceptAtom, MomentaryABox, Timestamp,
                              WindowExtent, parse_stream)
 from rlwindow.window import WindowModel
@@ -60,22 +60,19 @@ def sliding_attribution():
 def conflict_resolution():
     banner("newest-first conflict resolution")
     tbox = parse_tbox("A & B & C < bot\nB & D < bot")
-    ntbox = unfold_negative_inclusions(tbox, 3)
     wm = WindowModel(WindowExtent(ts(1), ts(3)))
     wm.add_abox(MomentaryABox(ts(1), frozenset({ConceptAtom("A", "a")})), tbox)
     wm.add_abox(MomentaryABox(ts(2), frozenset({ConceptAtom("B", "a")})), tbox)
     incoming = MomentaryABox(ts(3), frozenset({ConceptAtom("C", "a"),
                                                ConceptAtom("D", "a")}))
 
-    conflicts = find_conflicts(wm.asserted_occurrences(), incoming, ntbox)
-    for c in conflicts:
+    wm, report = add_abox_with_repair(wm, incoming, tbox)
+    for c in report.conflicts:
         members = ", ".join(str(o) for o in sorted(c.occurrences, key=lambda o: o.sort_key))
         oldest = ", ".join(str(o) for o in sorted(c.min_set, key=lambda o: o.sort_key))
         print(f"  conflict {{{members}}} — oldest slice {{{oldest}}}")
-    removed = resolve_conflicts(conflicts)
-    print("  resolution removes:", ", ".join(str(o) for o in sorted(removed, key=lambda o: o.sort_key)))
-
-    wm, report = add_abox_with_repair(wm, incoming, tbox, ntbox)
+    print("  resolution removes:", ", ".join(str(o) for o in sorted(report.removed,
+                                                                    key=lambda o: o.sort_key)))
     survivors = ", ".join(str(o) for o in sorted(wm.asserted_occurrences(),
                                                  key=lambda o: o.sort_key))
     print(f"  surviving assertions: {{{survivors}}}")
@@ -85,12 +82,11 @@ def conflict_resolution():
 def trust_levels():
     banner("timestamps as trust levels")
     tbox = parse_tbox("A & C < bot\nB & C < bot")
-    ntbox = unfold_negative_inclusions(tbox, 3)
     wm = WindowModel(WindowExtent(ts(1), ts(2)))
     wm.add_abox(MomentaryABox(ts(1), frozenset({ConceptAtom("A", "a"),
                                                 ConceptAtom("B", "a")})), tbox)
     wm, report = add_abox_with_repair(
-        wm, MomentaryABox(ts(2), frozenset({ConceptAtom("C", "a")})), tbox, ntbox)
+        wm, MomentaryABox(ts(2), frozenset({ConceptAtom("C", "a")})), tbox)
     print("  removed:", ", ".join(str(o) for o in sorted(report.removed,
                                                          key=lambda o: o.sort_key)))
     print("  entailed:", ", ".join(str(a) for a in sorted(
@@ -106,7 +102,6 @@ def trust_levels():
 def pedal_repair():
     banner("sliding repair on the car-pedals stream")
     tbox = parse_tbox("GasPedalPressed & BreaksPressed < bot\n")
-    ntbox = unfold_negative_inclusions(tbox, 3)
     stream = parse_stream("0 GasPedalPressed(x)\n"
                           "1 GasPedalPressed(x)\n"
                           "3 BreaksPressed(x)\n"
@@ -116,7 +111,7 @@ def pedal_repair():
     for box in stream:
         if wm.extent.contains(box.timestamp):
             wm.add_abox(box, tbox)
-    hook = lambda model, box: add_abox_with_repair(model, box, tbox, ntbox)[1]
+    hook = lambda model, box: add_abox_with_repair(model, box, tbox)[1]
     for end in (3, 4):
         extent = WindowExtent(ts(end - 2), ts(end))
         report = wm.slide(stream, extent, tbox, repair=hook)

@@ -119,10 +119,6 @@ def run(config, out=None, err=None):
     except EngineError as e:
         print(f"error: {e}", file=err)
         return EXIT_ENGINE
-    if config.repair and not ntbox.is_exact:
-        print("WARNING: negative inclusion unfolding truncated at depth "
-              f"{config.unfold_depth}; repairs are sound only up to that "
-              "derivation depth", file=err)
 
     if not stream:
         return EXIT_OK
@@ -132,7 +128,7 @@ def run(config, out=None, err=None):
     hook = None
     if config.repair:
         def hook(model, box):
-            return add_abox_with_repair(model, box, tbox, ntbox)[1]
+            return add_abox_with_repair(model, box, tbox)[1]
 
     wm = None
     prev_atoms = set()  # the atoms of the last window printed in diff mode

@@ -37,8 +37,8 @@ class StaleTimestamp(EngineError):
 class UnexpectedInconsistency(EngineError):
     """A negative inclusion fired while materializing.
 
-    Seen when repair is disabled, or when a truncated rewrite of the
-    negative inclusions let a deep conflict through.
+    Seen when repair is disabled. With repair it is raised only if a clash
+    survives the repair of a tick, which breaks the engine's invariant.
     """
 
     def __init__(self, axiom, binding):

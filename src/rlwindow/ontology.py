@@ -381,13 +381,8 @@ class NormalizedTBox:
 
     @cached_property
     def flattened_negatives(self):
-        """Every rewritten body of every entry, once each, in canonical order.
-
-        Equal subexpressions of the bodies are one shared object, so a
-        matcher can memoize on identity instead of hashing nested bodies.
-        """
-        shared = {}
-        bodies = dict.fromkeys(_share(b, shared) for e in self.entries for b in e.bodies)
+        """Every rewritten body of every entry, once each, in canonical order."""
+        bodies = dict.fromkeys(b for e in self.entries for b in e.bodies)
         return tuple(sorted(bodies, key=struct_key))
 
     @property
@@ -396,15 +391,6 @@ class NormalizedTBox:
 
     def statuses(self):
         return [(e.source, e.status) for e in self.entries]
-
-
-def _share(expr, table):
-    """expr rebuilt from the subexpressions already in table, adding its own."""
-    if isinstance(expr, Conj):
-        expr = Conj(_share(expr.left, table), _share(expr.right, table))
-    elif isinstance(expr, Exists):
-        expr = Exists(expr.role, _share(expr.filler, table))
-    return table.setdefault(expr, expr)
 
 
 def _single_substitutions(expr, tbox):

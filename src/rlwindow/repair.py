@@ -1,17 +1,14 @@
 """Recency-based inconsistency repair at occurrence granularity.
 
-A conflict set is a minimally inconsistent set of asserted occurrences: it
-matches one of the flattened negative bodies under the plain asserted facts,
-and no proper subset does. Resolution prefers newer information, by one rule
-applied rank by rank: the conflicts whose oldest members are most recent shed
-their oldest slices, except a slice that another slice of the same rank
-strictly contains, and every conflict that contains a shed slice is dropped
-before older conflicts get a say. Removals are permanent for the life of the
-stream.
-A tick is ingested first, and conflicts are enumerated only at the bindings
-where its fixpoint instantiated a negative inclusion, by the materializer's
-evaluator, window._Probe, annotating each instantiation with its supports
-instead of its homes. A tick without such a clash enumerates nothing.
+A conflict set is a minimally inconsistent set of asserted occurrences. A
+tick is ingested first, and conflicts are read off its closure where that
+clashes, as minimal supports (why-provenance, Green et al., PODS 2007) of
+the atoms the clashes depend on only (the relevance restriction of magic
+sets, Bancilhon et al., PODS 1986); these absorb, so cyclic TBoxes are no
+exception. Resolution prefers newer information, rank by rank: the conflicts
+whose oldest members are newest shed their oldest slices, except a slice
+another slice of the same rank strictly contains, and every conflict holding
+a shed slice is dropped before older ones get a say. Removals are permanent.
 
 Removing an asserted occurrence retracts its consequences by overdeletion and
 rederivation: every derived occurrence reachable through a derivation that
@@ -30,8 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .errors import UnexpectedInconsistency
 from .ontology import RoleInverse
-from .stream import ConceptAtom, MomentaryABox, Occurrence, RoleAtom
+from .stream import ConceptAtom, Occurrence, RoleAtom
 from .window import OccurrenceIndex, _Probe
 
 
@@ -64,76 +62,133 @@ class RepairReport:
 
 
 class _Supports(_Probe):
-    """The materializer's evaluator, annotating with supports: the sets of
-    occurrences placing x in expr under the plain facts. A leaf is annotated
-    with its singleton supports and a join pairs supports by union, so
-    fresh(body) holds the supports that use a delta occurrence. Non-minimal
-    supports are filtered by the caller.
-    """
+    """The materializer's evaluator annotating with supports, the sets of
+    asserted occurrences that derive x in expr (only at() is used). A join
+    unions them pairwise. A leaf reads a derived atom's supports from table;
+    the homes of any other atom are all asserted, and give singletons."""
+
+    def __init__(self, index, table, tbox):
+        super().__init__(index, None)
+        self.table, self.tbox = table, tbox
 
     def join(self, a, b):
         return {lhs | rhs for lhs in a for rhs in b}
 
     def concept_leaf(self, name, x, homes):
-        atom = ConceptAtom(name, x)
-        return {frozenset({Occurrence(atom, t)}) for t in homes}
+        return self.of(ConceptAtom(name, x), homes)
 
     def role_leaf(self, rexpr, x, y, homes):
-        s, o = (y, x) if isinstance(rexpr, RoleInverse) else (x, y)
-        atom = RoleAtom(rexpr.name, s, o)
+        return self.of(_role_atom(rexpr, x, y), homes)
+
+    def of(self, atom, homes):
+        if _derived(self.tbox, atom):
+            return self.table.get(atom, ())
         return {frozenset({Occurrence(atom, t)}) for t in homes}
 
 
-def find_conflicts(current, incoming, ntbox, bindings=None):
-    """The minimal conflicts that use at least one incoming occurrence.
+class _Atoms(_Probe):
+    """The materializer's evaluator annotating with the atoms used."""
 
-    A conflict is an occurrence-set instantiation of a flattened negative
-    body over the asserted occurrences `current` (an OccurrenceIndex, or any
-    iterable of occurrences) plus the incoming ABox. Only instantiations
-    that use an incoming occurrence are enumerated, and one is dropped when
-    a smaller such instantiation (from any body) is contained in it.
-    Distinct timestamped copies of the same atoms give distinct conflicts.
+    def join(self, a, b):
+        return a | b
 
-    Supports are enumerated only at the roots in `bindings`, which must hold
-    the binding of every such instantiation: the engine passes the bindings
-    where the tick's fixpoint clashed. When omitted, they are the roots at
-    which one home-annotated pass finds a flattened body instantiated with
-    an incoming occurrence.
+    def concept_leaf(self, name, x, homes):
+        return {ConceptAtom(name, x)}
 
-    The incoming occurrences are added to `current` for the enumeration and
-    the ones it did not already hold are taken out again before returning,
-    also when the enumeration raises.
+    def role_leaf(self, rexpr, x, y, homes):
+        return {_role_atom(rexpr, x, y)}
 
-    When `current` is conflict-free, every conflict of the union uses an
-    incoming occurrence, so the result is exactly the minimally inconsistent
-    subsets of the union. That always holds on the engine path: survivors of
-    earlier repairs and of expiry are conflict-free.
-    """
-    if not isinstance(current, OccurrenceIndex):
-        current = OccurrenceIndex(current)
-    arriving = incoming.occurrences()
-    added = [o for o in arriving if current.add(o.atom, o.timestamp)]
-    bodies = ntbox.flattened_negatives
-    try:
-        if bindings is None:
-            probe = _Probe(current, OccurrenceIndex(arriving))
-            bindings = {x for body in bodies for x in probe.fresh(body)}
-        roots = sorted(bindings)
-        supports = _Supports(current, OccurrenceIndex())
-        found = {}  # support -> (body, binding) of its first instantiation
-        for body in bodies:
-            for x in roots:
-                for supp in supports.at(body, x):
-                    if not supp.isdisjoint(arriving):
-                        found.setdefault(supp, (body, x))
-    finally:
-        for o in added:
-            current.discard(o.atom, o.timestamp)
-    minimal = [ConflictSet(occurrences=supp, violated_body=body, binding=x)
-               for supp, (body, x) in found.items()
-               if not any(other < supp for other in found)]
-    minimal.sort(key=lambda c: sorted(o.sort_key for o in c.occurrences))
-    return minimal
+
+def _derived(tbox, atom):
+    """Whether some axiom derives atoms of atom's predicate, atom[0]."""
+    return atom[0] in (tbox.bodies if isinstance(atom, ConceptAtom) else tbox.subroles)
+
+
+def _role_atom(rexpr, x, y):
+    """The role atom that places the pair (x, y) in the image of rexpr."""
+    if isinstance(rexpr, RoleInverse):
+        return RoleAtom(rexpr.name, y, x)
+    return RoleAtom(rexpr.name, x, y)
+
+
+def _minimal(supports):
+    """The supports that contain no other one."""
+    if len({len(supp) for supp in supports}) < 2:
+        return set(supports)
+    out, smaller, size = set(), [], 0
+    for supp in sorted(supports, key=len):
+        if len(supp) > size:
+            smaller, size = list(out), len(supp)
+        if not any(other < supp for other in smaller):
+            out.add(supp)
+    return out
+
+
+def _dependency_order(probe, tbox, roots):
+    """The derived atoms among the roots and the ones they depend on, in a
+    post-order walk with its own stack (chains can be window-long), and
+    whether it met a cycle. A concept atom depends on the atoms of the
+    complete instantiations of its bodies, a role atom on its sub-roles'."""
+    def dependencies(atom):
+        if isinstance(atom, ConceptAtom):
+            return set().union(*(probe.at(body, atom.individual)
+                                 for body in tbox.bodies[atom.concept]))
+        return [_role_atom(sub, atom.subject, atom.obj) for sub in tbox.subroles[atom.role]]
+
+    order, open_, cyclic = [], {}, False  # open_[atom]: not finished yet
+    stack = [(atom, False) for atom in roots]
+    while stack:
+        atom, expanded = stack.pop()
+        if expanded:
+            open_[atom] = False
+            order.append(atom)
+        elif atom in open_:
+            cyclic = cyclic or open_[atom]  # an unfinished atom is an ancestor
+        elif _derived(tbox, atom):
+            open_[atom] = True
+            stack.append((atom, True))
+            stack.extend((dep, False) for dep in dependencies(atom))
+    return order, cyclic
+
+
+def find_conflicts(wm, incoming, tbox, bindings):
+    """The minimal conflicts that use an incoming occurrence: the minimal
+    supports of the negative bodies at the bindings, where the closure in wm
+    instantiates them. The derived atoms these depend on get supports after
+    their dependencies (again, in rounds, if these form a cycle), each from
+    a fresh _Supports: a memo shared across atoms could keep a subexpression
+    read while its atoms were unfinished. If wm held no conflict before the
+    tick, these are its minimally inconsistent sets of asserted occurrences
+    with an incoming one."""
+    index, roots = wm._index, sorted(bindings)
+    probe = _Atoms(index, None)
+    negatives = [(ax.body, x) for ax in tbox.negative_inclusions for x in roots]
+    order, cyclic = _dependency_order(
+        probe, tbox, set().union(*(probe.at(body, x) for body, x in negatives)))
+    table, changed = {}, True
+    while changed:
+        changed = False
+        for atom in order:
+            supps = {frozenset({Occurrence(atom, t)}) for t in wm._asserted.homes(atom)}
+            supports = _Supports(index, table, tbox)
+            if isinstance(atom, ConceptAtom):
+                for body in tbox.bodies[atom.concept]:
+                    supps.update(supports.at(body, atom.individual))
+            else:
+                for sub in tbox.subroles[atom.role]:
+                    sub_atom = _role_atom(sub, atom.subject, atom.obj)
+                    supps.update(supports.of(sub_atom, index.homes(sub_atom)))
+            supps = _minimal(supps)
+            if supps != table.get(atom):
+                table[atom], changed = supps, cyclic
+    supports, arriving = _Supports(index, table, tbox), incoming.occurrences()
+    found = {}  # support -> (body, binding) of its first instantiation
+    for body, x in negatives:
+        for supp in supports.at(body, x):
+            if not supp.isdisjoint(arriving):
+                found.setdefault(supp, (body, x))
+    return sorted((ConflictSet(supp, *found[supp]) for supp in _minimal(found)),
+                  key=lambda c: sorted(o.sort_key for o in c.occurrences))
 
 
 # ---------------------------------------------------------------------------
@@ -209,17 +264,10 @@ def _backward_check(wm, marked, tbox):
             x = atom.individual
             if any(h in probe.at(body, x) for body in tbox.bodies.get(atom.concept, ())):
                 restored.append(occ)
-        elif any(h in wm._index.homes(_sub_atom(sub, atom))
+        elif any(h in wm._index.homes(_role_atom(sub, atom.subject, atom.obj))
                  for sub in tbox.subroles.get(atom.role, ())):
             restored.append(occ)
     return restored
-
-
-def _sub_atom(sub, atom):
-    """The atom of role expression sub that places the role atom's pair in it."""
-    if isinstance(sub, RoleInverse):
-        return RoleAtom(sub.name, atom.obj, atom.subject)
-    return RoleAtom(sub.name, atom.subject, atom.obj)
 
 
 def _overdelete(wm, removed, tbox):
@@ -241,48 +289,22 @@ def _overdelete(wm, removed, tbox):
     return marked
 
 
-class _Unresolved(Exception):
-    """A clash outlived the repair of a provisionally ingested tick."""
-
-
-def add_abox_with_repair(wm, abox, tbox, ntbox):
-    """Add the incoming ABox, resolving the conflicts it raises.
-
-    The tick is ingested once, in a nested atomic block, and the fixpoint
-    records where the closure instantiates a negative inclusion. A tick with
-    no clash is done. Otherwise the conflicts are enumerated at the clash
-    bindings only, resolved newest-first, and every removed occurrence, older
-    or incoming, is retracted with its consequences from the provisional
-    closure. If a recorded clash still holds then, which only a truncated
-    rewrite allows, the block rolls back and the tick is replayed as
-    retraction of the older removals followed by add_abox of the surviving
-    incoming atoms, which raises UnexpectedInconsistency as add_abox does.
-    Returns (wm, RepairReport).
-    """
+def add_abox_with_repair(wm, abox, tbox, ntbox=None):
+    """Add the incoming ABox, resolving the conflicts it raises, all or
+    nothing: the conflicts of a clashing closure are found at the clash
+    bindings, resolved newest-first, and every removed occurrence, older or
+    incoming, is retracted with its consequences. A clash left after that
+    breaks an invariant: UnexpectedInconsistency. ntbox, the rewrite, is
+    accepted for older callers and not read. Returns (wm, RepairReport)."""
     with wm._atomic():
-        try:
-            with wm._atomic():
-                clashes = wm._ingest(abox, tbox)
-                if not clashes:
-                    return wm, RepairReport(removed=frozenset(), conflicts=())
-                conflicts = find_conflicts(wm._asserted, abox, ntbox,
-                                           {x for _, x in clashes})
-                removed = resolve_conflicts(conflicts)
-                overdeleted, rederived = apply_repair(wm, removed, tbox)
-                probe = _Probe(wm._index, OccurrenceIndex())
-                if any(probe.at(ax.body, x) for ax, x in clashes):
-                    raise _Unresolved
-        except _Unresolved:
-            existing = frozenset(o for o in removed if o.timestamp < abox.timestamp)
-            overdeleted = rederived = 0
-            if existing:
-                overdeleted, rederived = apply_repair(wm, existing, tbox)
-            dropped_now = {o.atom for o in removed if o.timestamp == abox.timestamp}
-            surviving = MomentaryABox(abox.timestamp, frozenset(abox.atoms - dropped_now))
-            wm.add_abox(surviving, tbox)
-    return wm, RepairReport(
-        removed=removed,
-        conflicts=tuple(conflicts),
-        overdeleted=overdeleted,
-        rederived=rederived,
-    )
+        clashes = wm._ingest(abox, tbox)
+        if not clashes:
+            return wm, RepairReport(removed=frozenset(), conflicts=())
+        conflicts = find_conflicts(wm, abox, tbox, {x for _, x in clashes})
+        removed = resolve_conflicts(conflicts)
+        overdeleted, rederived = apply_repair(wm, removed, tbox)
+        probe = _Probe(wm._index, OccurrenceIndex())
+        for ax, x in clashes:
+            if probe.at(ax.body, x):
+                raise UnexpectedInconsistency(ax, x)
+    return wm, RepairReport(removed, tuple(conflicts), overdeleted, rederived)

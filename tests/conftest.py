@@ -8,7 +8,7 @@ from rlwindow.ontology import parse_tbox, unfold_negative_inclusions
 from rlwindow.repair import add_abox_with_repair
 from rlwindow.stream import (ConceptAtom, MomentaryABox, Occurrence, RoleAtom,
                              Timestamp, WindowExtent, parse_stream)
-from rlwindow.window import WindowModel
+from rlwindow.window import OccurrenceIndex, WindowModel
 
 
 def ts(value):
@@ -45,6 +45,20 @@ def build_window(extent, stream, tbox, ntbox=None, repair=False):
             else:
                 wm.add_abox(b, tbox)
     return wm
+
+
+def provisional_model(current, incoming, tbox):
+    """The model a repairing add hands to find_conflicts: the asserted
+    occurrences current closed under tbox, clashes and all, with the
+    incoming ABox ingested on top. Returns (model, clash bindings)."""
+    wm = WindowModel(WindowExtent(min([o.timestamp for o in current] + [incoming.timestamp]),
+                                  incoming.timestamp))
+    wm.entry_timestamps = sorted({o.timestamp for o in current})
+    for o in current:
+        wm._insert(o.atom, o.timestamp, asserted=True)
+    wm._fixpoint(tbox, OccurrenceIndex(current))
+    clashes = wm._ingest(incoming, tbox)
+    return wm, {x for _, x in clashes}
 
 
 def atoms_of(interp):

@@ -150,9 +150,9 @@ def _full_render(tbox, stream, extents, hook, emit):
 @given(st.integers(min_value=0, max_value=100_000), st.booleans(),
        st.sampled_from(["window", "diff"]), st.sampled_from([1, 2]))
 def test_incremental_lines_equal_a_full_render(tmp_path_factory, seed, repair, emit, slide):
-    # Cyclic TBoxes, with and without the repair hook. Some windows are
-    # inconsistent (with repair, the depth-1 rewrite lets conflicts through),
-    # and the run skips them and rebuilds from a new model.
+    # Cyclic TBoxes, with and without the repair hook. Without it some
+    # windows are inconsistent, and the run skips them and rebuilds from a
+    # new model.
     tbox = random_tbox(seed, n_concepts=4, n_roles=2, n_axioms=6, n_negative=2,
                        acyclic=False)
     boxes = random_stream(seed + 1, n_ticks=12, atoms_per_tick=3,
@@ -296,14 +296,19 @@ def test_oracle_disagreement_reports_status_one(files, capsys, monkeypatch):
     assert "engine is missing X(a)" in err
 
 
-def test_truncated_rewrite_with_repair_warns(files, capsys):
-    tbox, stream = files("some r . B < B\nA & B < bot\n", "1 A(a)\n")
-    code, _, err = run_main(
-        ["--tbox", tbox, "--stream", stream, "--width", "2", "--slide", "1",
-         "--origin", "2", "--repair"], capsys)
-    assert code == 0
-    assert err.startswith("WARNING: ")
-    assert "truncated at depth 3" in err
+def test_truncated_rewrite_with_repair_repairs_exactly(files, capsys):
+    # The r-chain from B(x0) to A(x5) is deeper than the default rewrite
+    # depth of 3; repair reads the conflict off the closure all the same.
+    tbox, stream = files("some r . A < A\nA & B < bot\n",
+                         "0 B(x0)\n" + "".join(f"{i} r(x{i - 1},x{i})\n" for i in range(1, 6))
+                         + "6 A(x5)\n")
+    argv = ["--tbox", tbox, "--stream", stream, "--width", "6", "--slide", "1",
+            "--origin", "6", "--repair"]
+    code, out, err = run_main(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("WINDOW [0, 6]\nA(x0) @ {1}\n")
+    assert out.endswith("r(x4,x5) @ {5}\nREMOVED 0 B(x0)\n\n")
+    assert run_main(argv + ["--check-oracle"], capsys) == (0, out, "")
 
 
 # -- calling run() as a library ------------------------------------------------------
