@@ -42,11 +42,6 @@ class RunConfig:
     emit: str = "window"
     check_oracle: bool = False
     skip_inconsistent: bool = False
-    seed: int | None = None
-    # benchmark knobs
-    overlap: float = 90.0
-    timestamps: int = 200
-    atoms_per_tick: int = 20
 
 
 class _Labels(dict):
@@ -217,15 +212,16 @@ class BenchResult:
         return "\n".join(lines)
 
 
-def bench(config):
+def bench(seed, overlap=90.0, timestamps=200, atoms_per_tick=20):
     """Time incremental slides against from-scratch rebuilds on a generated
-    workload, also checking the two routes produce the same atoms."""
-    if config.seed is None:
+    workload of timestamps ticks, in windows a quarter of it wide that
+    overlap by overlap percent, also checking the two routes produce the
+    same atoms."""
+    if seed is None:
         raise ValueError("bench requires a seed")
-    tbox, stream = bench_workload(config.seed, n_ticks=config.timestamps,
-                                  atoms_per_tick=config.atoms_per_tick)
-    width = Timestamp.of(max(1, config.timestamps // 4))
-    slide_micros = max(1, round(width.micros * (1 - config.overlap / 100)))
+    tbox, stream = bench_workload(seed, n_ticks=timestamps, atoms_per_tick=atoms_per_tick)
+    width = Timestamp.of(max(1, timestamps // 4))
+    slide_micros = max(1, round(width.micros * (1 - overlap / 100)))
     spec = WindowSpec(width, Timestamp(slide_micros), width)
     extents = window_extents(spec, stream[-1].timestamp)
 
@@ -268,12 +264,7 @@ def main(argv=None):
         p.add_argument("--timestamps", type=int, default=200)
         p.add_argument("--atoms-per-tick", type=int, default=20)
         a = p.parse_args(argv[1:])
-        config = RunConfig(tbox_path="", stream_path="",
-                           width=Timestamp.of(1), slide=Timestamp.of(1),
-                           origin=Timestamp.of(0), seed=a.seed,
-                           overlap=a.overlap, timestamps=a.timestamps,
-                           atoms_per_tick=a.atoms_per_tick)
-        print(bench(config).render_csv())
+        print(bench(a.seed, a.overlap, a.timestamps, a.atoms_per_tick).render_csv())
         return EXIT_OK
 
     p = argparse.ArgumentParser(prog="rlwindow")

@@ -25,12 +25,11 @@ surviving support returns only at the homes it still achieves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .errors import UnexpectedInconsistency
-from .ontology import RoleInverse
-from .stream import ConceptAtom, Occurrence, RoleAtom
-from .window import OccurrenceIndex, _Probe
+from .stream import ConceptAtom, Occurrence
+from .window import OccurrenceIndex, _Probe, _role_atom
 
 
 @dataclass(frozen=True)
@@ -61,42 +60,19 @@ class RepairReport:
 # conflict enumeration
 
 
-class _Supports(_Probe):
-    """The materializer's evaluator annotating with supports, the sets of
-    asserted occurrences that derive x in expr (only at() is used). A join
-    unions them pairwise. A leaf reads a derived atom's supports from table;
-    the homes of any other atom are all asserted, and give singletons."""
-
-    def __init__(self, index, table, tbox):
-        super().__init__(index, None)
-        self.table, self.tbox = table, tbox
+class _Instantiations(_Probe):
+    """The materializer's evaluator annotating with instantiations, one set
+    of atoms per way of matching expr at x (fresh() is not used). A join
+    unions them pairwise."""
 
     def join(self, a, b):
         return {lhs | rhs for lhs in a for rhs in b}
 
     def concept_leaf(self, name, x, homes):
-        return self.of(ConceptAtom(name, x), homes)
+        return {frozenset({ConceptAtom(name, x)})}
 
     def role_leaf(self, rexpr, x, y, homes):
-        return self.of(_role_atom(rexpr, x, y), homes)
-
-    def of(self, atom, homes):
-        if _derived(self.tbox, atom):
-            return self.table.get(atom, ())
-        return {frozenset({Occurrence(atom, t)}) for t in homes}
-
-
-class _Atoms(_Probe):
-    """The materializer's evaluator annotating with the atoms used."""
-
-    def join(self, a, b):
-        return a | b
-
-    def concept_leaf(self, name, x, homes):
-        return {ConceptAtom(name, x)}
-
-    def role_leaf(self, rexpr, x, y, homes):
-        return {_role_atom(rexpr, x, y)}
+        return {frozenset({_role_atom(rexpr, x, y)})}
 
 
 def _derived(tbox, atom):
@@ -104,11 +80,9 @@ def _derived(tbox, atom):
     return atom[0] in (tbox.bodies if isinstance(atom, ConceptAtom) else tbox.subroles)
 
 
-def _role_atom(rexpr, x, y):
-    """The role atom that places the pair (x, y) in the image of rexpr."""
-    if isinstance(rexpr, RoleInverse):
-        return RoleAtom(rexpr.name, y, x)
-    return RoleAtom(rexpr.name, x, y)
+def _singletons(asserted, atom):
+    """The singleton supports of atom's asserted occurrences."""
+    return {frozenset({Occurrence(atom, t)}) for t in asserted.homes(atom)}
 
 
 def _minimal(supports):
@@ -127,14 +101,8 @@ def _minimal(supports):
 def _dependency_order(probe, tbox, roots):
     """The derived atoms among the roots and the ones they depend on, in a
     post-order walk with its own stack (chains can be window-long), and
-    whether it met a cycle. A concept atom depends on the atoms of the
-    complete instantiations of its bodies, a role atom on its sub-roles'."""
-    def dependencies(atom):
-        if isinstance(atom, ConceptAtom):
-            return set().union(*(probe.at(body, atom.individual)
-                                 for body in tbox.bodies[atom.concept]))
-        return [_role_atom(sub, atom.subject, atom.obj) for sub in tbox.subroles[atom.role]]
-
+    whether it met a cycle. A derived atom depends on the atoms of its
+    one-step derivations, which the probe keeps."""
     order, open_, cyclic = [], {}, False  # open_[atom]: not finished yet
     stack = [(atom, False) for atom in roots]
     while stack:
@@ -147,44 +115,48 @@ def _dependency_order(probe, tbox, roots):
         elif _derived(tbox, atom):
             open_[atom] = True
             stack.append((atom, True))
-            stack.extend((dep, False) for dep in dependencies(atom))
+            stack.extend((dep, False) for dep in set().union(*probe.derivations(atom, tbox)))
     return order, cyclic
 
 
 def find_conflicts(wm, incoming, tbox, bindings):
-    """The minimal conflicts that use an incoming occurrence: the minimal
-    supports of the negative bodies at the bindings, where the closure in wm
-    instantiates them. The derived atoms these depend on get supports after
-    their dependencies (again, in rounds, if these form a cycle), each from
-    a fresh _Supports: a memo shared across atoms could keep a subexpression
-    read while its atoms were unfinished. If wm held no conflict before the
-    tick, these are its minimally inconsistent sets of asserted occurrences
-    with an incoming one."""
-    index, roots = wm._index, sorted(bindings)
-    probe = _Atoms(index, None)
-    negatives = [(ax.body, x) for ax in tbox.negative_inclusions for x in roots]
+    """The minimal conflicts that use an incoming occurrence. The closure in
+    wm instantiates the negative bodies at the bindings, and the derived
+    atoms these depend on are walked back through their one-step
+    derivations, each body matched once. In dependency order (again, in
+    rounds, if these form a cycle), each derived atom's minimal supports are
+    its asserted singletons plus, per derivation, the product of its atoms'
+    supports; conflicts are the minimal such products over the negative
+    instantiations. If wm held no conflict before the tick, these are its
+    minimally inconsistent sets of asserted occurrences with an incoming
+    one."""
+    asserted, roots = wm._asserted, sorted(bindings)
+    probe = _Instantiations(wm._index, None)
+    negatives = [(ax.body, x, probe.at(ax.body, x))
+                 for ax in tbox.negative_inclusions for x in roots]
     order, cyclic = _dependency_order(
-        probe, tbox, set().union(*(probe.at(body, x) for body, x in negatives)))
-    table, changed = {}, True
+        probe, tbox, set().union(*(way for *_, ways in negatives for way in ways)))
+    table = {}
+
+    def supports(atom):
+        return table.get(atom, ()) if _derived(tbox, atom) else _singletons(asserted, atom)
+
+    def products(ways):
+        """The supports of each instantiation in ways, one per choice of a
+        support for each of its atoms."""
+        return set().union(*(reduce(probe.join, map(supports, way)) for way in ways))
+
+    changed = True
     while changed:
         changed = False
         for atom in order:
-            supps = {frozenset({Occurrence(atom, t)}) for t in wm._asserted.homes(atom)}
-            supports = _Supports(index, table, tbox)
-            if isinstance(atom, ConceptAtom):
-                for body in tbox.bodies[atom.concept]:
-                    supps.update(supports.at(body, atom.individual))
-            else:
-                for sub in tbox.subroles[atom.role]:
-                    sub_atom = _role_atom(sub, atom.subject, atom.obj)
-                    supps.update(supports.of(sub_atom, index.homes(sub_atom)))
-            supps = _minimal(supps)
+            supps = _minimal(_singletons(asserted, atom) | products(probe.derivations(atom, tbox)))
             if supps != table.get(atom):
                 table[atom], changed = supps, cyclic
-    supports, arriving = _Supports(index, table, tbox), incoming.occurrences()
+    arriving = incoming.occurrences()
     found = {}  # support -> (body, binding) of its first instantiation
-    for body, x in negatives:
-        for supp in supports.at(body, x):
+    for body, x, ways in negatives:
+        for supp in products(ways):
             if not supp.isdisjoint(arriving):
                 found.setdefault(supp, (body, x))
     return sorted((ConflictSet(supp, *found[supp]) for supp in _minimal(found)),
@@ -254,20 +226,11 @@ def apply_repair(wm, removed, tbox):
 
 def _backward_check(wm, marked, tbox):
     """The marked occurrences that a positive axiom derives in one step from
-    the window's index: (atom, h) where h is an achievable home of a body
-    with head atom. The index is only read, so one probe serves them all."""
+    the window's index: (atom, h) where h is an achievable home of one of
+    atom's derivations. The index is only read, so one probe serves them
+    all."""
     probe = _Probe(wm._index, OccurrenceIndex())
-    restored = []
-    for occ in marked:
-        atom, h = occ
-        if isinstance(atom, ConceptAtom):
-            x = atom.individual
-            if any(h in probe.at(body, x) for body in tbox.bodies.get(atom.concept, ())):
-                restored.append(occ)
-        elif any(h in wm._index.homes(_role_atom(sub, atom.subject, atom.obj))
-                 for sub in tbox.subroles.get(atom.role, ())):
-            restored.append(occ)
-    return restored
+    return [occ for occ in marked if occ.timestamp in probe.derivations(occ.atom, tbox)]
 
 
 def _overdelete(wm, removed, tbox):

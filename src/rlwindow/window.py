@@ -15,10 +15,10 @@ Adding a momentary ABox runs a semi-naive fixpoint: each round only considers
 rule-body instantiations that use at least one occurrence added in the
 previous round, probing the rest of the body against the full index. That
 round is _Probe, the engine's one rule-body evaluator, annotated with homes
-here and with supports in conflict enumeration (repair._Supports). Each
-round also records where it instantiates a negative inclusion: add_abox
-raises for the first such clash, and repair enumerates conflicts at their
-bindings only.
+here and with instantiations, the atoms of each way to match a body, in
+conflict enumeration (repair._Instantiations). Each round also records
+where it instantiates a negative inclusion: add_abox raises for the first
+such clash, and repair enumerates conflicts at their bindings only.
 """
 
 from __future__ import annotations
@@ -207,6 +207,13 @@ class OccurrenceIndex:
                 for s in self.rev.get(name, {}).get(x, ())]
 
 
+def _role_atom(rexpr, x, y):
+    """The role atom that places the pair (x, y) in the image of rexpr."""
+    if isinstance(rexpr, RoleInverse):
+        return RoleAtom(rexpr.name, y, x)
+    return RoleAtom(rexpr.name, x, y)
+
+
 class _Probe:
     """One semi-naive round over an index that already holds the delta.
 
@@ -218,6 +225,11 @@ class _Probe:
     expression walks all of it. fresh may repeat instantiations the index
     already derives; callers deduplicate.
 
+    derivations(atom, tbox) annotates the one-step derivations of an atom
+    over the whole index, for the backward check of rederivation and the
+    conflict search's walk; it is memoized on the atom, so a probe serves
+    one TBox.
+
     join and the two leaves are the annotation algebra; alternatives merge by
     union. Here a leaf is its home set, which must not be mutated, and join
     is the min-join, so an annotation is a set of achievable homes.
@@ -228,6 +240,7 @@ class _Probe:
         self.delta = delta
         self._at = {}
         self._fresh = {}
+        self._derivations = {}
 
     def join(self, a, b):
         return _minjoin(a, b)
@@ -290,6 +303,25 @@ class _Probe:
                 for x, homes in self.index.role_neighbors(inverse, y):
                     _merge(out, x, self.join(self.role_leaf(role, x, y, homes), ann))
         self._fresh[id(expr)] = out
+        return out
+
+    def derivations(self, atom, tbox):
+        """The annotation of atom's one-step derivations: its concept's
+        bodies at its individual, or the leaves of the sub-role pairs that
+        put its pair in its role."""
+        out = self._derivations.get(atom)
+        if out is not None:
+            return out
+        if isinstance(atom, ConceptAtom):
+            x = atom.individual
+            out = set().union(*(self.at(body, x) for body in tbox.bodies.get(atom.concept, ())))
+        else:
+            out, x, y = set(), atom.subject, atom.obj
+            for sub in tbox.subroles.get(atom.role, ()):
+                homes = self.index.homes(_role_atom(sub, x, y))
+                if homes:
+                    out |= self.role_leaf(sub, x, y, homes)
+        self._derivations[atom] = out
         return out
 
     def consequences(self, tbox):

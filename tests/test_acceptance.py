@@ -253,10 +253,7 @@ def test_normal_form_soundness_bulk():
 
 def test_incremental_speedup_bench():
     start = time.perf_counter()
-    config = cli.RunConfig(tbox_path="", stream_path="",
-                           width=ts(1), slide=ts(1), origin=ts(1),
-                           seed=7, overlap=90.0, timestamps=200, atoms_per_tick=20)
-    result = cli.bench(config)
+    result = cli.bench(7, overlap=90.0, timestamps=200, atoms_per_tick=20)
     elapsed = time.perf_counter() - start
     print(result.render_csv())
     ratio = result.ratio

@@ -368,8 +368,6 @@ def test_bench_workload_is_deterministic(capsys):
     assert "mismatches=0" in first and "mismatches=0" in second
 
 
-def test_bench_requires_a_seed(files):
-    config = cli.RunConfig(tbox_path="", stream_path="",
-                           width=ts(2), slide=ts(1), origin=ts(2))
+def test_bench_requires_a_seed():
     with pytest.raises(ValueError):
-        cli.bench(config)
+        cli.bench(None)

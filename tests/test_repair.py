@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,8 +14,9 @@ from rlwindow.ontology import (ConceptInclusion, ConceptName, Conj, RoleInverse,
                                parse_tbox, unfold_negative_inclusions)
 from rlwindow.oracle import definitional_window_repair
 from rlwindow import repair
-from rlwindow.repair import (ConflictSet, RepairReport, _Supports, add_abox_with_repair,
-                             apply_repair, find_conflicts, resolve_conflicts)
+from rlwindow.repair import (ConflictSet, RepairReport, _Instantiations,
+                             add_abox_with_repair, apply_repair, find_conflicts,
+                             resolve_conflicts)
 from rlwindow.stream import ConceptAtom, MomentaryABox, Occurrence, RoleAtom
 from rlwindow.synth import random_stream, random_tbox
 from rlwindow.window import OccurrenceIndex, WindowModel, _Probe
@@ -93,6 +94,29 @@ def test_conflicts_must_use_an_incoming_occurrence():
     assert [c.occurrences for c in conflicts] == [frozenset({A1, b1, r3})]
 
 
+def test_a_role_atom_derived_through_an_inverse_subrole_has_both_supports():
+    # r(a,b) is asserted at 0 and derived at 1 from s(b,a); each gives the
+    # clash at a its own conflict.
+    r0, s1 = occ(ratom("r", "a", "b"), 0), occ(ratom("s", "b", "a"), 1)
+    b1, a2 = occ(catom("B", "b"), 1), occ(catom("A", "a"), 2)
+    conflicts = conflicts_of({r0, s1, b1}, box(2, catom("A", "a")),
+                             "inv(s) < r\nA & some r . B < bot")
+    assert [c.occurrences for c in conflicts] == [
+        frozenset({r0, b1, a2}), frozenset({b1, s1, a2})]
+    assert all(c.binding == "a" for c in conflicts)
+
+
+def test_an_atom_at_two_body_positions_takes_one_support_for_both():
+    # A(x) fills both A positions of the body; its two supports are never
+    # mixed into one conflict.
+    c0, d1 = occ(catom("C", "x"), 0), occ(catom("D", "x"), 1)
+    r1, e2 = occ(ratom("r", "x", "x"), 1), occ(catom("E", "x"), 2)
+    conflicts = conflicts_of({c0, d1, r1}, box(2, catom("E", "x")),
+                             "C < A\nD < A\nA & some r . A & E < bot")
+    assert [c.occurrences for c in conflicts] == [
+        frozenset({c0, r1, e2}), frozenset({d1, r1, e2})]
+
+
 def test_find_conflicts_leaves_current_as_it_was(monkeypatch):
     tbox = parse_tbox("A & B < bot\nA & some r . C < bot")
     r1 = occ(ratom("r", "a", "b"), 1)
@@ -107,7 +131,7 @@ def test_find_conflicts_leaves_current_as_it_was(monkeypatch):
     def failing_join(self, a, b):
         raise RuntimeError("join failed")
 
-    monkeypatch.setattr(_Supports, "join", failing_join)
+    monkeypatch.setattr(_Instantiations, "join", failing_join)
     with pytest.raises(RuntimeError, match="join failed"):
         find_conflicts(wm, incoming, tbox, bindings)
     assert vars(wm) == vars(before)
@@ -142,29 +166,28 @@ def test_a_subexpression_evaluated_before_its_atoms_are_finished_is_not_reused(m
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=100_000))
 def test_supports_and_homes_annotate_the_same_instantiations(seed):
-    # With a table of asserted singletons, the oldest timestamp of each
-    # support is an achievable home, and every achievable home is the
-    # oldest timestamp of some support.
+    # With every atom asserted, a support of an instantiation picks one
+    # occurrence of each of its atoms: the oldest timestamp of each such
+    # product is an achievable home, and every achievable home is the
+    # oldest timestamp of some product.
     tbox = random_tbox(seed, acyclic=False)
     bodies = [ax.body for ax in tbox.positive_axioms if isinstance(ax, ConceptInclusion)]
     bodies += unfold_negative_inclusions(tbox, 2).flattened_negatives
     occs = [o for b in random_stream(seed + 1, n_ticks=4, atoms_per_tick=5)
             for o in b.occurrences()]
     index = OccurrenceIndex(occs)
-    table = {}
-    for o in occs:
-        table.setdefault(o.atom, set()).add(frozenset({o}))
-    probe, supports = _Probe(index, OccurrenceIndex()), _Supports(index, table, tbox)
+    probe, ways = _Probe(index, OccurrenceIndex()), _Instantiations(index, None)
     inds = {o.atom.individual for o in occs if isinstance(o.atom, ConceptAtom)}
     inds |= {i for o in occs if isinstance(o.atom, RoleAtom)
              for i in (o.atom.subject, o.atom.obj)}
 
-    def oldest(supps):
-        return {min(o.timestamp for o in s) for s in supps}
+    def oldest(instantiations):
+        return {min(choice) for way in instantiations
+                for choice in product(*(index.homes(atom) for atom in way))}
 
     for body in bodies:
         for x in inds:
-            assert oldest(supports.at(body, x)) == probe.at(body, x)
+            assert oldest(ways.at(body, x)) == probe.at(body, x)
 
 
 # -- resolution ----------------------------------------------------------------
@@ -594,29 +617,75 @@ def test_stale_repairing_add_retracts_nothing():
     assert vars(wm) == vars(before)
 
 
+# Where a raise is planted: (owner, attribute, which calls count). The
+# backward check's probe is the only plain _Probe whose derivations repair
+# asks for, and rederivation is the fixpoint inside apply_repair.
+_PLANT_SITES = {
+    "instantiations join": (repair._Instantiations, "join", lambda args, inside: True),
+    "resolve_conflicts": (repair, "resolve_conflicts", lambda args, inside: True),
+    "apply_repair": (repair, "apply_repair", lambda args, inside: True),
+    "backward check": (_Probe, "derivations", lambda args, inside: type(args[0]) is _Probe),
+    "rederivation": (WindowModel, "_fixpoint", lambda args, inside: inside),
+}
+
+
+def _repair_with_a_planted_raise(site, k, tbox, stream):
+    """Three repairing adds, then a repairing slide, on a new model, with
+    _Planted raised at the k-th counted call of site (never, for k = 0).
+    Each step that raises must leave the model as it was. Returns the
+    counted calls and the steps that raised."""
+    owner, name, counts = _PLANT_SITES[site]
+    original, calls, inside, raised = getattr(owner, name), [0], [False], 0
+
+    def planted(*args, **kwargs):
+        if counts(args, inside[0]):
+            calls[0] += 1
+            if calls[0] == k:
+                raise _Planted
+        return original(*args, **kwargs)
+
+    apply = repair.apply_repair
+
+    def applying(*args):
+        inside[0] = True
+        try:
+            return apply(*args)
+        finally:
+            inside[0] = False
+
+    hook = lambda model, b: add_abox_with_repair(model, b, tbox)[1]
+    steps = [lambda wm, b=b: add_abox_with_repair(wm, b, tbox) for b in stream[:3]]
+    steps.append(lambda wm: wm.slide(stream, ext(2, 5), tbox, repair=hook))
+    wm = WindowModel(ext(0, 2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(repair, "apply_repair", applying)
+        mp.setattr(owner, name, planted)
+        for step in steps:
+            before = wm.copy()
+            try:
+                step(wm)
+            except _Planted:
+                raised += 1
+                assert vars(wm) == vars(before)
+                _assert_buckets_invert_homes(wm)
+    return calls[0], raised
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=0, max_value=2))
-def test_raising_repair_operations_change_nothing(seed, depth):
-    # Cyclic TBoxes, whose shallow rewrites repair does not read: whatever
-    # raises must leave the model as it was.
+@given(st.integers(min_value=0, max_value=100_000), st.data())
+def test_raising_repair_operations_change_nothing(seed, data):
+    # Cyclic TBoxes. A raise at the k-th call of one step of repair, k up to
+    # the calls of a clean run, must leave the model as it was.
     tbox = random_tbox(seed, n_concepts=4, n_roles=2, n_axioms=6, n_negative=2,
                        acyclic=False)
-    ntbox = unfold_negative_inclusions(tbox, depth)
     stream = random_stream(seed + 1, n_ticks=6, atoms_per_tick=3,
                            n_individuals=2, n_concepts=4, n_roles=2)
-    wm = WindowModel(ext(0, 2))
-    for b in stream[:3]:
-        before = wm.copy()
-        try:
-            add_abox_with_repair(wm, b, tbox, ntbox)
-        except EngineError:
-            assert vars(wm) == vars(before)
-    before = wm.copy()
-    hook = lambda model, b: add_abox_with_repair(model, b, tbox, ntbox)[1]
-    try:
-        wm.slide(stream, ext(2, 5), tbox, repair=hook)
-    except EngineError:
-        assert vars(wm) == vars(before)
+    site = data.draw(st.sampled_from(sorted(_PLANT_SITES)))
+    clean_calls, _ = _repair_with_a_planted_raise(site, 0, tbox, stream)
+    assume(clean_calls)
+    k = data.draw(st.integers(min_value=1, max_value=clean_calls))
+    _, raised = _repair_with_a_planted_raise(site, k, tbox, stream)
+    assert raised >= 1
 
 
 def _assert_buckets_invert_homes(wm):
@@ -775,19 +844,20 @@ def test_conflicts_are_the_minimal_inconsistent_subsets_with_an_incoming_occurre
 
 def test_a_clash_free_tick_enumerates_no_conflicts(monkeypatch):
     calls = []
-    enumerate_conflicts, at = repair.find_conflicts, _Supports.at
+    enumerate_conflicts, at = repair.find_conflicts, _Instantiations.at
 
     def spy_find(*args):
         calls.append("find_conflicts")
         return enumerate_conflicts(*args)
 
     def spy_at(self, expr, x):
-        calls.append("_Supports.at")
+        calls.append("_Instantiations.at")
         return at(self, expr, x)
 
     monkeypatch.setattr(repair, "find_conflicts", spy_find)
-    monkeypatch.setattr(_Supports, "at", spy_at)
-    monkeypatch.setattr(_Supports, "fresh", lambda *args: calls.append("_Supports.fresh"))
+    monkeypatch.setattr(_Instantiations, "at", spy_at)
+    monkeypatch.setattr(_Instantiations, "fresh",
+                        lambda *args: calls.append("_Instantiations.fresh"))
     tbox = parse_tbox("A & B < bot\nC < A")
     ntbox = unfold_negative_inclusions(tbox, 3)
     wm = build_window(ext(0, 3), [box(0, catom("A", "a"))], tbox)
@@ -796,7 +866,7 @@ def test_a_clash_free_tick_enumerates_no_conflicts(monkeypatch):
     assert report == RepairReport(removed=frozenset(), conflicts=())
     assert wm.homes(catom("A", "b")) == {ts(1)}
     _, report = add_abox_with_repair(wm, box(2, catom("C", "c")), tbox, ntbox)
-    assert calls.count("find_conflicts") == 1 and "_Supports.fresh" not in calls
+    assert calls.count("find_conflicts") == 1 and "_Instantiations.fresh" not in calls
     assert report.removed == frozenset({occ(catom("B", "c"), 1)})
 
 
