@@ -212,13 +212,23 @@ class BenchResult:
         return "\n".join(lines)
 
 
+def _check_bench_args(seed, overlap, timestamps):
+    """Raise ValueError for bench arguments it cannot run."""
+    if seed is None:
+        raise ValueError("bench requires a seed")
+    if timestamps < 2:
+        raise ValueError(f"bench needs at least 2 timestamps, not {timestamps}")
+    if not 0 <= overlap < 100:
+        raise ValueError(f"overlap must be at least 0 and below 100, not {overlap:g}")
+
+
 def bench(seed, overlap=90.0, timestamps=200, atoms_per_tick=20):
     """Time incremental slides against from-scratch rebuilds on a generated
     workload of timestamps ticks, in windows a quarter of it wide that
     overlap by overlap percent, also checking the two routes produce the
-    same atoms."""
-    if seed is None:
-        raise ValueError("bench requires a seed")
+    same atoms. Arguments it cannot run raise ValueError before anything is
+    built."""
+    _check_bench_args(seed, overlap, timestamps)
     tbox, stream = bench_workload(seed, n_ticks=timestamps, atoms_per_tick=atoms_per_tick)
     width = Timestamp.of(max(1, timestamps // 4))
     slide_micros = max(1, round(width.micros * (1 - overlap / 100)))
@@ -264,6 +274,10 @@ def main(argv=None):
         p.add_argument("--timestamps", type=int, default=200)
         p.add_argument("--atoms-per-tick", type=int, default=20)
         a = p.parse_args(argv[1:])
+        try:
+            _check_bench_args(a.seed, a.overlap, a.timestamps)
+        except ValueError as e:
+            p.error(str(e))
         print(bench(a.seed, a.overlap, a.timestamps, a.atoms_per_tick).render_csv())
         return EXIT_OK
 

@@ -80,9 +80,10 @@ def _derived(tbox, atom):
     return atom[0] in (tbox.bodies if isinstance(atom, ConceptAtom) else tbox.subroles)
 
 
-def _singletons(asserted, atom):
-    """The singleton supports of atom's asserted occurrences."""
-    return {frozenset({Occurrence(atom, t)}) for t in asserted.homes(atom)}
+def _singletons(wm, atom):
+    """The singleton supports of atom's asserted occurrences in wm."""
+    return {frozenset({Occurrence(atom, t)})
+            for t in wm.homes(atom) if wm.is_asserted(atom, t)}
 
 
 def _minimal(supports):
@@ -130,7 +131,7 @@ def find_conflicts(wm, incoming, tbox, bindings):
     instantiations. If wm held no conflict before the tick, these are its
     minimally inconsistent sets of asserted occurrences with an incoming
     one."""
-    asserted, roots = wm._asserted, sorted(bindings)
+    roots = sorted(bindings)
     probe = _Instantiations(wm._index, None)
     negatives = [(ax.body, x, probe.at(ax.body, x))
                  for ax in tbox.negative_inclusions for x in roots]
@@ -139,7 +140,7 @@ def find_conflicts(wm, incoming, tbox, bindings):
     table = {}
 
     def supports(atom):
-        return table.get(atom, ()) if _derived(tbox, atom) else _singletons(asserted, atom)
+        return table.get(atom, ()) if _derived(tbox, atom) else _singletons(wm, atom)
 
     def products(ways):
         """The supports of each instantiation in ways, one per choice of a
@@ -150,7 +151,7 @@ def find_conflicts(wm, incoming, tbox, bindings):
     while changed:
         changed = False
         for atom in order:
-            supps = _minimal(_singletons(asserted, atom) | products(probe.derivations(atom, tbox)))
+            supps = _minimal(_singletons(wm, atom) | products(probe.derivations(atom, tbox)))
             if supps != table.get(atom):
                 table[atom], changed = supps, cyclic
     arriving = incoming.occurrences()
@@ -207,18 +208,18 @@ def apply_repair(wm, removed, tbox):
     """
     removed = set(removed)
     for occ in removed:
-        if occ.timestamp not in wm._asserted.homes(occ.atom):
+        if not wm.is_asserted(occ.atom, occ.timestamp):
             raise ValueError(f"{occ} is not an asserted occurrence of this window")
     with wm._atomic():
         for occ in removed:
-            wm._discard(wm._asserted, occ.atom, occ.timestamp)
+            wm._ticks[occ.timestamp] -= {occ.atom}
         marked = _overdelete(wm, removed, tbox)
         for occ in marked:
-            wm._discard(wm._index, occ.atom, occ.timestamp)
+            wm._discard(occ.atom, occ.timestamp)
         restored = _backward_check(wm, marked, tbox)
         seed = OccurrenceIndex()
         for atom, h in restored:
-            wm._insert(atom, h, asserted=False)
+            wm._insert(atom, h)
             seed.add(atom, h)
         rederived = len(restored) + wm._fixpoint(tbox, seed)[0]
     return len(marked), rederived
@@ -242,10 +243,10 @@ def _overdelete(wm, removed, tbox):
         probe = _Probe(wm._index, OccurrenceIndex(frontier))
         fresh = []
         for atom, homes in probe.consequences(tbox):
-            have, asserted = wm.homes(atom), wm._asserted.homes(atom)
+            have = wm.homes(atom)
             for h in homes:
                 occ = Occurrence(atom, h)
-                if h in have and h not in asserted and occ not in marked:
+                if h in have and not wm.is_asserted(atom, h) and occ not in marked:
                     marked.add(occ)
                     fresh.append(occ)
         frontier = fresh

@@ -1,15 +1,16 @@
 """Incremental materialization over a sliding window of momentary ABoxes.
 
-State is kept at occurrence granularity: every atom in the window carries the
-set of timestamps it is homed at. Asserted atoms live at their assertion
-ticks. A derived atom is added at the minimum timestamp over the occurrences
-instantiating some rule body for it, and every distinct instantiation
-contributes its own minimum, so the atom may be homed at several ticks.
-Because each home timestamp certifies a derivation using only occurrences at
-that tick or later, expiring the oldest ticks is pure deletion and requires
-no re-reasoning. The index buckets the atoms homed at each timestamp, so
-expiry discards exactly the expired buckets, through the same journaled
-removal as retraction, and costs what it removes.
+State is one index at occurrence granularity, where every atom in the window
+carries the set of timestamps it is homed at, and the window's ticks, each
+with the asserted atoms that survive at it and are homed there. Mutations
+journal their index changes. A derived atom is added at the minimum
+timestamp over the occurrences instantiating some rule body for it, and
+every distinct instantiation contributes its own minimum, so the atom may be
+homed at several ticks. Because each home timestamp certifies a derivation
+using only occurrences at that tick or later, expiring the oldest ticks is
+pure deletion and requires no re-reasoning. The index buckets the atoms
+homed at each timestamp, so expiry discards exactly the expired buckets,
+through the same journaled removal as retraction, and costs what it removes.
 
 Adding a momentary ABox runs a semi-naive fixpoint: each round only considers
 rule-body instantiations that use at least one occurrence added in the
@@ -94,11 +95,11 @@ class OccurrenceIndex:
     """Home timestamps per concept and role atom, with role adjacency both
     ways, and the atoms homed at each timestamp.
 
-    The engine's one index shape: a window's occurrences, its asserted
-    occurrences and the delta of a semi-naive round are each held in one.
-    add and discard are the only writers, so the by-home buckets always
-    invert the home tables, and discard is the only removal. Emptied entries
-    and buckets are removed, so equal contents compare equal.
+    The engine's one index shape: a window's occurrences and the delta of a
+    semi-naive round are each held in one. add and discard are the only
+    writers, so the by-home buckets always invert the home tables, and
+    discard is the only removal. Emptied entries and buckets are removed, so
+    equal contents compare equal.
     """
 
     def __init__(self, occurrences=()):
@@ -180,15 +181,7 @@ class OccurrenceIndex:
         return sum(map(len, self.by_home.values()))
 
     def copy(self):
-        dup = OccurrenceIndex()
-        dup.concepts = {n: {x: set(h) for x, h in m.items()}
-                        for n, m in self.concepts.items()}
-        dup.roles = {n: {p: set(h) for p, h in m.items()}
-                     for n, m in self.roles.items()}
-        dup.fwd = {n: {s: set(o) for s, o in m.items()} for n, m in self.fwd.items()}
-        dup.rev = {n: {o: set(s) for o, s in m.items()} for n, m in self.rev.items()}
-        dup.by_home = {t: set(atoms) for t, atoms in self.by_home.items()}
-        return dup
+        return OccurrenceIndex(self.occurrences())
 
     def role_matches(self, rexpr):
         """(x, y, homes) for every pair of the index in the rexpr image."""
@@ -341,20 +334,21 @@ class _Probe:
 
 
 class WindowModel:
-    """Mutable materialized state of one window. Single-writer; concurrent
-    readers should work on a copy().
-
-    Every public mutation is all-or-nothing: when it raises, the model is
-    left exactly as it was before the call.
+    """Mutable materialized state of one window: one index of every
+    occurrence, asserted or derived, and the window's momentary ABoxes as
+    they survive repair. Single-writer; concurrent readers should work on a
+    copy(). Every public mutation is all-or-nothing: when it raises, the
+    model is left exactly as it was before the call.
     """
 
     def __init__(self, extent):
         self.extent = extent
-        self.entry_timestamps: list[Timestamp] = []
+        # The loaded ticks, oldest first, with their surviving asserted
+        # atoms; a tick's set is replaced, never changed in place.
+        self._ticks: dict[Timestamp, frozenset[Atom]] = {}
         self._index = OccurrenceIndex()  # every occurrence, asserted or derived
-        self._asserted = OccurrenceIndex()  # the asserted occurrences only
-        # Undo entries (index, atom, timestamp, added) of the open atomic
-        # block, or None outside one.
+        # Undo entries (atom, timestamp, added) of the open atomic block's
+        # index changes, or None outside one.
         self._journal = None
 
     # The plain concept and role tables of the full index, for readers of
@@ -368,45 +362,52 @@ class WindowModel:
     def _roles(self):
         return self._index.roles
 
+    @property
+    def entry_timestamps(self):
+        """The loaded ticks, oldest first."""
+        return list(self._ticks)
+
     # -- occurrence bookkeeping ------------------------------------------
 
     def homes(self, atom):
         return self._index.homes(atom)
 
-    def _insert(self, atom, ts, asserted):
+    def is_asserted(self, atom, ts):
+        return atom in self._ticks.get(ts, ())
+
+    def _insert(self, atom, ts):
         fresh = self._index.add(atom, ts)
         if fresh and self._journal is not None:
-            self._journal.append((self._index, atom, ts, True))
-        if asserted and self._asserted.add(atom, ts) and self._journal is not None:
-            self._journal.append((self._asserted, atom, ts, True))
+            self._journal.append((atom, ts, True))
         return fresh
 
-    def _discard(self, index, atom, ts):
-        if index.discard(atom, ts) and self._journal is not None:
-            self._journal.append((index, atom, ts, False))
+    def _discard(self, atom, ts):
+        if self._index.discard(atom, ts) and self._journal is not None:
+            self._journal.append((atom, ts, False))
 
     @contextmanager
     def _atomic(self):
         """Run the block all-or-nothing: if it raises, every index change it
-        made, the entries and the extent are rolled back before the
-        exception propagates. A nested block is a savepoint: it shares the
-        outermost block's journal, and when it raises it undoes and drops
-        only its own suffix of it, so an enclosing block that catches the
-        exception goes on and may commit. Yields the journal."""
+        journaled is undone and the ticks and the extent are restored before
+        the exception propagates. A nested block is a savepoint: it shares
+        the outermost block's journal, and when it raises it undoes and
+        drops only its own suffix of it, so an enclosing block that catches
+        the exception goes on and may commit. Yields the journal."""
         outer = self._journal
         journal = self._journal = [] if outer is None else outer
         start = len(journal)
-        saved = (self.extent, list(self.entry_timestamps))
+        saved = (self.extent, dict(self._ticks))
         try:
             yield journal
         except BaseException:
-            for index, atom, ts, added in reversed(journal[start:]):
+            index = self._index
+            for atom, ts, added in reversed(journal[start:]):
                 if added:
                     index.discard(atom, ts)
                 else:
                     index.add(atom, ts)
             del journal[start:]
-            self.extent, self.entry_timestamps = saved
+            self.extent, self._ticks = saved
             raise
         finally:
             self._journal = outer
@@ -417,22 +418,20 @@ class WindowModel:
         return self._index.occurrences()
 
     def asserted_occurrences(self):
-        return self._asserted.occurrences()
+        return {Occurrence(atom, t) for t, atoms in self._ticks.items() for atom in atoms}
 
     def attributed_atoms(self):
         """Every atom of the window with its homes, in atom sort order."""
-        rows = []
-        for name, by_ind in self._index.concepts.items():
-            asserted = self._asserted.concepts.get(name, {})
-            rows.extend((ConceptAtom(name, x), homes, asserted.get(x, ()))
-                        for x, homes in by_ind.items())
-        for name, by_pair in self._index.roles.items():
-            asserted = self._asserted.roles.get(name, {})
-            rows.extend((RoleAtom(name, *pair), homes, asserted.get(pair, ()))
-                        for pair, homes in by_pair.items())
+        rows = [(ConceptAtom(name, x), homes)
+                for name, by_ind in self._index.concepts.items()
+                for x, homes in by_ind.items()]
+        rows.extend((RoleAtom(name, *pair), homes)
+                    for name, by_pair in self._index.roles.items()
+                    for pair, homes in by_pair.items())
         rows.sort(key=itemgetter(0))
-        return [AttributedAtom(atom, frozenset(homes), frozenset(at))
-                for atom, homes, at in rows]
+        return [AttributedAtom(atom, frozenset(homes),
+                               frozenset(t for t in homes if self.is_asserted(atom, t)))
+                for atom, homes in rows]
 
     def window_interpretation(self):
         concepts = {n: set(by_ind) for n, by_ind in self._concepts.items()}
@@ -449,16 +448,15 @@ class WindowModel:
         return Interpretation(concepts, roles)
 
     def entries(self):
-        return [(t, self.entry_interpretation(t)) for t in self.entry_timestamps]
+        return [(t, self.entry_interpretation(t)) for t in self._ticks]
 
     def entails(self, atom):
         return bool(self.homes(atom))
 
     def copy(self):
         dup = WindowModel(self.extent)
-        dup.entry_timestamps = list(self.entry_timestamps)
+        dup._ticks = dict(self._ticks)
         dup._index = self._index.copy()
-        dup._asserted = self._asserted.copy()
         return dup
 
     # -- reasoning ----------------------------------------------------------
@@ -485,7 +483,7 @@ class WindowModel:
                 additions.extend((atom, h) for h in homes if h not in have)
             delta = OccurrenceIndex()
             for atom, h in additions:
-                if self._insert(atom, h, asserted=False):
+                if self._insert(atom, h):
                     delta.add(atom, h)
             inserted += delta.size()
         return inserted, clashes
@@ -496,16 +494,15 @@ class WindowModel:
         minimum timestamp of each new instantiation; nothing already present
         is touched. Returns the clashes the fixpoint recorded. Run inside an
         atomic block."""
-        ts = abox.timestamp
-        if self.entry_timestamps and ts <= self.entry_timestamps[-1]:
-            raise StaleTimestamp(
-                f"ABox at {ts} is not newer than loaded entry {self.entry_timestamps[-1]}")
+        ts, newest = abox.timestamp, next(reversed(self._ticks), None)
+        if newest is not None and ts <= newest:
+            raise StaleTimestamp(f"ABox at {ts} is not newer than loaded entry {newest}")
         if not self.extent.contains(ts):
             raise StaleTimestamp(f"ABox at {ts} outside window {self.extent}")
-        self.entry_timestamps.append(ts)
+        self._ticks[ts] = frozenset(abox.atoms)
         seed = OccurrenceIndex()
         for atom in abox.atoms:
-            if self._insert(atom, ts, asserted=True):
+            if self._insert(atom, ts):
                 seed.add(atom, ts)
         return self._fixpoint(tbox, seed)[1]
 
@@ -520,17 +517,18 @@ class WindowModel:
         return self
 
     def drop_before(self, cutoff):
-        """Expire every occurrence homed before the cutoff. Pure deletion:
-        every surviving home certifies a derivation among survivors. The
-        expired buckets are discarded occurrence by occurrence, the same
-        journaled removal that retraction uses."""
-        self.entry_timestamps = [t for t in self.entry_timestamps if t >= cutoff]
-        for index in (self._index, self._asserted):
-            for t in [t for t in index.by_home if t < cutoff]:
-                for atom in list(index.by_home[t]):
-                    self._discard(index, atom, t)
-        if self.extent.start < cutoff <= self.extent.end:
-            self.extent = WindowExtent(cutoff, self.extent.end)
+        """Expire every tick and every occurrence homed before the cutoff.
+        Pure deletion: every surviving home certifies a derivation among
+        survivors. The expired buckets are discarded occurrence by
+        occurrence, the same journaled removal that retraction uses."""
+        with self._atomic():
+            self._ticks = {t: atoms for t, atoms in self._ticks.items() if t >= cutoff}
+            by_home = self._index.by_home
+            for t in [t for t in by_home if t < cutoff]:
+                for atom in list(by_home[t]):
+                    self._discard(atom, t)
+            if self.extent.start < cutoff <= self.extent.end:
+                self.extent = WindowExtent(cutoff, self.extent.end)
         return self
 
     def slide(self, stream, new_extent, tbox, repair=None):
@@ -546,18 +544,16 @@ class WindowModel:
         overdeleted and rederived fields are read.
 
         The report's changed set is read from the undo journal when the
-        slide succeeds: the atoms of its entries on the window's index. The
-        asserted index is left out, since an atom's printed line shows only
-        its homes, and so are the entries of nested blocks that rolled back,
-        which drop their own entries."""
+        slide succeeds: the atoms of its entries, each a change to the
+        window's index. Changes to the ticks alone are left out, since an
+        atom's printed line shows only its homes, and so are the entries of
+        nested blocks that rolled back, which drop their own entries."""
         if new_extent.start < self.extent.start or new_extent.end < self.extent.end:
             raise ValueError("windows only slide forward")
         with self._atomic() as journal:
             start = len(journal)
             report = self._slide(stream, new_extent, tbox, repair)
-            index = self._index
-            report.changed = frozenset(
-                entry[1] for entry in journal[start:] if entry[0] is index)
+            report.changed = frozenset(entry[0] for entry in journal[start:])
         return report
 
     def _slide(self, stream, new_extent, tbox, repair):
@@ -571,9 +567,9 @@ class WindowModel:
         removals = []
         repair_shrink = 0
         key = attrgetter("timestamp")
-        # Entries that survived expiry are inside the new extent.
-        entries = self.entry_timestamps
-        first = (bisect_right(stream, entries[-1], key=key) if entries
+        # Ticks that survived expiry are inside the new extent.
+        newest = next(reversed(self._ticks), None)
+        first = (bisect_right(stream, newest, key=key) if newest is not None
                  else bisect_left(stream, new_extent.start, key=key))
         for i in range(first, len(stream)):
             box = stream[i]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from rlwindow.ontology import parse_tbox, unfold_negative_inclusions
+from rlwindow.ontology import parse_tbox
 from rlwindow.repair import add_abox_with_repair
 from rlwindow.stream import (ConceptAtom, MomentaryABox, Occurrence, RoleAtom,
                              Timestamp, WindowExtent, parse_stream)
@@ -35,13 +35,13 @@ def box(t, *atoms):
     return MomentaryABox(ts(t), frozenset(atoms))
 
 
-def build_window(extent, stream, tbox, ntbox=None, repair=False):
+def build_window(extent, stream, tbox, repair=False):
     """Materialize one extent from scratch, optionally with repair."""
     wm = WindowModel(extent)
     for b in stream:
         if extent.contains(b.timestamp):
             if repair:
-                add_abox_with_repair(wm, b, tbox, ntbox)
+                add_abox_with_repair(wm, b, tbox)
             else:
                 wm.add_abox(b, tbox)
     return wm
@@ -53,9 +53,10 @@ def provisional_model(current, incoming, tbox):
     incoming ABox ingested on top. Returns (model, clash bindings)."""
     wm = WindowModel(WindowExtent(min([o.timestamp for o in current] + [incoming.timestamp]),
                                   incoming.timestamp))
-    wm.entry_timestamps = sorted({o.timestamp for o in current})
+    for t in sorted({o.timestamp for o in current}):
+        wm._ticks[t] = frozenset(o.atom for o in current if o.timestamp == t)
     for o in current:
-        wm._insert(o.atom, o.timestamp, asserted=True)
+        wm._insert(o.atom, o.timestamp)
     wm._fixpoint(tbox, OccurrenceIndex(current))
     clashes = wm._ingest(incoming, tbox)
     return wm, {x for _, x in clashes}

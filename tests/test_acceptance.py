@@ -90,10 +90,9 @@ def test_conflict_resolution_example():
 
 def test_preference_levels_example(disjoint_tbox):
     start = time.perf_counter()
-    ntbox = unfold_negative_inclusions(disjoint_tbox, 3)
     wm = WindowModel(ext(1, 2))
     wm.add_abox(box(1, catom("A", "a"), catom("B", "a")), disjoint_tbox)
-    wm, _ = add_abox_with_repair(wm, box(2, catom("C", "a")), disjoint_tbox, ntbox)
+    wm, _ = add_abox_with_repair(wm, box(2, catom("C", "a")), disjoint_tbox)
     entailed = atoms_of(wm.window_interpretation())
 
     repairs = preferred_repairs([{catom("A", "a"), catom("B", "a")},

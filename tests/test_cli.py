@@ -9,7 +9,7 @@ from conftest import (GOLDEN_PEDALS_REPAIRED, GOLDEN_WORKED_WINDOWS,
                       WORKED_STREAM_TEXT, WORKED_TBOX_TEXT, ts)
 from rlwindow import cli
 from rlwindow.errors import UnexpectedInconsistency
-from rlwindow.ontology import format_tbox, parse_tbox, unfold_negative_inclusions
+from rlwindow.ontology import format_tbox, parse_tbox
 from rlwindow.oracle import OracleVerdict
 from rlwindow.repair import add_abox_with_repair
 from rlwindow.stream import WindowExtent, WindowSpec, parse_stream, window_extents
@@ -171,8 +171,7 @@ def test_incremental_lines_equal_a_full_render(tmp_path_factory, seed, repair, e
 
     tbox = parse_tbox(format_tbox(tbox))
     stream = parse_stream(stream_text)
-    ntbox = unfold_negative_inclusions(tbox, 1)
-    hook = (lambda model, b: add_abox_with_repair(model, b, tbox, ntbox)[1]) if repair else None
+    hook = (lambda model, b: add_abox_with_repair(model, b, tbox)[1]) if repair else None
     horizon = stream[-1].timestamp
     extents = window_extents(WindowSpec(ts(3), ts(slide), ts(3)), horizon) if horizon >= ts(3) else []
     assert out.getvalue() == _full_render(tbox, stream, extents, hook, emit)
@@ -371,3 +370,22 @@ def test_bench_workload_is_deterministic(capsys):
 def test_bench_requires_a_seed():
     with pytest.raises(ValueError):
         cli.bench(None)
+
+
+@pytest.mark.parametrize("option, value", [
+    ("timestamps", 0), ("timestamps", -5), ("timestamps", 1),
+    ("overlap", -10.0), ("overlap", 100.0)])
+def test_bench_refuses_arguments_it_cannot_run(option, value, capsys, monkeypatch):
+    # Refused before the workload or a single extent is built: at 100%
+    # overlap the slide would be one micro-unit wide.
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a refused bench built its workload")
+
+    monkeypatch.setattr(cli, "bench_workload", unbuilt)
+    monkeypatch.setattr(cli, "window_extents", unbuilt)
+    with pytest.raises(ValueError):
+        cli.bench(7, **{option: value})
+    with pytest.raises(SystemExit) as stopped:
+        cli.main(["bench", "--seed", "7", f"--{option}", str(value)])
+    assert stopped.value.code == 2
+    assert "rlwindow bench: error:" in capsys.readouterr().err

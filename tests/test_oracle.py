@@ -159,7 +159,7 @@ def test_cross_check_passes_on_the_worked_stream(worked_tbox, worked_stream):
 
 def test_cross_check_flags_a_corrupted_index(worked_tbox, worked_stream):
     wm = build_window(ext(1, 2), worked_stream, worked_tbox)
-    wm._insert(catom("Ghost", "a"), ts(1), asserted=False)
+    wm._insert(catom("Ghost", "a"), ts(1))
     verdict = cross_check(wm, worked_stream, ext(1, 2), worked_tbox)
     assert not verdict.match
     assert any("Ghost" in line for line in verdict.diff)
@@ -173,9 +173,9 @@ def test_cross_check_flags_unrepaired_survivors(pedals_tbox, pedals_stream):
     ntbox = unfold_negative_inclusions(pedals_tbox, 3)
     wm = WindowModel(ext(0, 4))
     for b in pedals_stream:
-        wm.entry_timestamps.append(b.timestamp)
+        wm._ticks[b.timestamp] = b.atoms
         for o in b.occurrences():
-            wm._insert(o.atom, o.timestamp, asserted=True)
+            wm._insert(o.atom, o.timestamp)
     verdict = cross_check(wm, pedals_stream, ext(0, 4), pedals_tbox, ntbox)
     assert not verdict.match
     assert any("oracle repair drops it" in line for line in verdict.diff)

@@ -137,12 +137,13 @@ def test_find_conflicts_leaves_current_as_it_was(monkeypatch):
     assert vars(wm) == vars(before)
 
 
-def test_a_subexpression_evaluated_before_its_atoms_are_finished_is_not_reused(monkeypatch):
+def test_an_underived_atom_ordered_first_keeps_the_repair_outcome(monkeypatch):
     # H(x) is asserted, and its body is half matched at x through r(x,y)
     # and F(y); H(xp) is derived through r(xp,y), the same F(y) and
-    # s(xp,z). H(x) depends on nothing, so it may come first, evaluated
-    # before F(y) is finished; what it read of F(y) must not leave H(xp)
-    # without its support.
+    # s(xp,z). H(x) has no derivation, so it may come first; this pins the
+    # repair of the window with it there. That the order puts each derived
+    # atom after its dependencies is
+    # test_dependency_order_lists_each_derived_atom_after_its_dependencies.
     dependency_order, hx = repair._dependency_order, catom("H", "x")
 
     def hx_first(*args):
@@ -161,6 +162,45 @@ def test_a_subexpression_evaluated_before_its_atoms_are_finished_is_not_reused(m
         ratom("r", "xp", "y"), ratom("s", "xp", "z"))}
     chased = canonical_model({o.atom for o in wm.asserted_occurrences()}, tbox)
     assert not isinstance(chased, Inconsistent)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_dependency_order_lists_each_derived_atom_after_its_dependencies(seed):
+    # The support table fills in one pass exactly when this holds: each
+    # derived atom comes after every derived atom of its derivations.
+    tbox = random_tbox(seed, n_concepts=4, n_roles=2, n_axioms=6, n_negative=2)
+    stream = random_stream(seed + 1, n_ticks=4, atoms_per_tick=4,
+                           n_individuals=2, n_concepts=4, n_roles=2)
+    wm = WindowModel(ext(0, 3))
+    with wm._atomic():
+        for b in stream:
+            wm._ingest(b, tbox)
+    probe = _Instantiations(wm._index, None)
+    roots = {a.atom for a in wm.attributed_atoms()}
+    order, cyclic = repair._dependency_order(probe, tbox, roots)
+    assert not cyclic
+    assert sorted(order) == sorted(a for a in roots if repair._derived(tbox, a))
+    position = {atom: i for i, atom in enumerate(order)}
+    for atom in order:
+        for way in probe.derivations(atom, tbox):
+            assert all(position[dep] < position[atom]
+                       for dep in way if repair._derived(tbox, dep))
+
+
+def test_dependency_order_reports_a_cyclic_chain():
+    tbox = parse_tbox("some r . A < A")
+    wm = build_window(ext(0, 1), [box(0, catom("A", "x0"), ratom("r", "x0", "x1"),
+                                       ratom("r", "x1", "x0"))], tbox)
+    probe = _Instantiations(wm._index, None)
+    order, cyclic = repair._dependency_order(probe, tbox, {catom("A", "x1")})
+    assert cyclic
+    assert sorted(order) == [catom("A", "x0"), catom("A", "x1")]
+    acyclic = parse_tbox("A < B\nsome r . B < C")
+    wm = build_window(ext(0, 1), [box(0, catom("A", "x0"), ratom("r", "x1", "x0"))], acyclic)
+    probe = _Instantiations(wm._index, None)
+    assert repair._dependency_order(probe, acyclic, {catom("C", "x1")}) == (
+        [catom("B", "x0"), catom("C", "x1")], False)
 
 
 @settings(max_examples=80, deadline=None)
@@ -341,31 +381,28 @@ def test_marks_derived_only_from_restored_marks_return_in_forward_rounds(monkeyp
 
 def test_repairing_add_keeps_the_newer_facts():
     tbox = parse_tbox("A & B & C < bot\nB & D < bot")
-    ntbox = unfold_negative_inclusions(tbox, 3)
     wm = WindowModel(ext(1, 3))
     wm.add_abox(box(1, catom("A", "a")), tbox)
     wm.add_abox(box(2, catom("B", "a")), tbox)
     wm, report = add_abox_with_repair(
-        wm, box(3, catom("C", "a"), catom("D", "a")), tbox, ntbox)
+        wm, box(3, catom("C", "a"), catom("D", "a")), tbox)
     assert report.removed == frozenset({B2})
     assert len(report.conflicts) == 2
     assert wm.asserted_occurrences() == {A1, C3, D3}
 
 
 def test_consistent_add_behaves_like_plain_add(worked_tbox, worked_stream):
-    ntbox = unfold_negative_inclusions(worked_tbox, 3)
     plain = build_window(ext(1, 4), worked_stream, worked_tbox)
     repaired = WindowModel(ext(1, 4))
     for b in worked_stream:
-        repaired, report = add_abox_with_repair(repaired, b, worked_tbox, ntbox)
+        repaired, report = add_abox_with_repair(repaired, b, worked_tbox)
         assert report.removed == frozenset()
     assert repaired.occurrences() == plain.occurrences()
 
 
 def test_pedal_conflict_drops_the_older_pedal(pedals_tbox, pedals_stream):
-    ntbox = unfold_negative_inclusions(pedals_tbox, 3)
     wm = build_window(ext(0, 2), pedals_stream, pedals_tbox)
-    hook = lambda model, b: add_abox_with_repair(model, b, pedals_tbox, ntbox)[1]
+    hook = lambda model, b: add_abox_with_repair(model, b, pedals_tbox)[1]
     report = wm.slide(pedals_stream, ext(1, 3), pedals_tbox, repair=hook)
     gas1 = occ(catom("GasPedalPressed", "x"), 1)
     assert report.removals == (gas1,)
@@ -377,9 +414,8 @@ def test_pedal_conflict_drops_the_older_pedal(pedals_tbox, pedals_stream):
 
 
 def test_removed_occurrences_do_not_return_on_later_slides(pedals_tbox, pedals_stream):
-    ntbox = unfold_negative_inclusions(pedals_tbox, 3)
     wm = build_window(ext(0, 2), pedals_stream, pedals_tbox)
-    hook = lambda model, b: add_abox_with_repair(model, b, pedals_tbox, ntbox)[1]
+    hook = lambda model, b: add_abox_with_repair(model, b, pedals_tbox)[1]
     wm.slide(pedals_stream, ext(1, 3), pedals_tbox, repair=hook)
     gas1 = occ(catom("GasPedalPressed", "x"), 1)
     assert gas1 not in wm.asserted_occurrences()
@@ -389,10 +425,9 @@ def test_removed_occurrences_do_not_return_on_later_slides(pedals_tbox, pedals_s
 
 
 def test_timestamps_impose_trust_levels(disjoint_tbox):
-    ntbox = unfold_negative_inclusions(disjoint_tbox, 3)
     wm = WindowModel(ext(1, 2))
     wm.add_abox(box(1, catom("A", "a"), catom("B", "a")), disjoint_tbox)
-    wm, report = add_abox_with_repair(wm, box(2, catom("C", "a")), disjoint_tbox, ntbox)
+    wm, report = add_abox_with_repair(wm, box(2, catom("C", "a")), disjoint_tbox)
     assert report.removed == frozenset({A1, B1})
     assert atoms_of(wm.window_interpretation()) == {catom("C", "a")}
 
@@ -420,7 +455,7 @@ def _repaired_build(seed):
     wm = WindowModel(ext(0, 3))
     reports = []
     for b in stream:
-        wm, report = add_abox_with_repair(wm, b, tbox, ntbox)
+        wm, report = add_abox_with_repair(wm, b, tbox)
         reports.append(report)
     return tbox, ntbox, stream, wm, reports
 
@@ -609,11 +644,10 @@ def test_a_clash_left_after_repair_raises_and_changes_nothing(monkeypatch):
 
 def test_stale_repairing_add_retracts_nothing():
     tbox = parse_tbox("A & B < bot")
-    ntbox = unfold_negative_inclusions(tbox, 3)
     wm = build_window(ext(0, 3), [box(1, catom("A", "a")), box(2, catom("C", "a"))], tbox)
     before = wm.copy()
     with pytest.raises(StaleTimestamp):
-        add_abox_with_repair(wm, box(2, catom("B", "a")), tbox, ntbox)
+        add_abox_with_repair(wm, box(2, catom("B", "a")), tbox)
     assert vars(wm) == vars(before)
 
 
@@ -689,20 +723,22 @@ def test_raising_repair_operations_change_nothing(seed, data):
 
 
 def _assert_buckets_invert_homes(wm):
-    """Each index's by-home buckets are the inverse of its home tables, and
-    its size counts their occurrences."""
-    for index in (wm._index, wm._asserted):
-        inverse = {}
-        for name, by_ind in index.concepts.items():
-            for x, homes in by_ind.items():
-                for t in homes:
-                    inverse.setdefault(t, set()).add(ConceptAtom(name, x))
-        for name, by_pair in index.roles.items():
-            for pair, homes in by_pair.items():
-                for t in homes:
-                    inverse.setdefault(t, set()).add(RoleAtom(name, *pair))
-        assert index.by_home == inverse
-        assert index.size() == len(index.occurrences())
+    """The index's by-home buckets are the inverse of its home tables, its
+    size counts their occurrences, the ticks increase, and the index holds
+    every asserted occurrence."""
+    index, inverse = wm._index, {}
+    for name, by_ind in index.concepts.items():
+        for x, homes in by_ind.items():
+            for t in homes:
+                inverse.setdefault(t, set()).add(ConceptAtom(name, x))
+    for name, by_pair in index.roles.items():
+        for pair, homes in by_pair.items():
+            for t in homes:
+                inverse.setdefault(t, set()).add(RoleAtom(name, *pair))
+    assert index.by_home == inverse
+    assert index.size() == len(index.occurrences())
+    assert wm.entry_timestamps == sorted(set(wm.entry_timestamps))
+    assert wm.asserted_occurrences() <= wm.occurrences()
 
 
 @settings(max_examples=60, deadline=None)
@@ -710,10 +746,9 @@ def _assert_buckets_invert_homes(wm):
 def test_home_buckets_track_slides_expiry_and_rollback(seed, cut):
     tbox = random_tbox(seed, n_concepts=4, n_roles=2, n_axioms=6, n_negative=2,
                        acyclic=False)
-    ntbox = unfold_negative_inclusions(tbox, 2)
     stream = random_stream(seed + 1, n_ticks=9, atoms_per_tick=3,
                            n_individuals=2, n_concepts=4, n_roles=2)
-    hook = lambda model, b: add_abox_with_repair(model, b, tbox, ntbox)[1]
+    hook = lambda model, b: add_abox_with_repair(model, b, tbox)[1]
     wm = WindowModel(ext(0, 3))
     for end in (3, 4, 5):
         try:
@@ -755,10 +790,8 @@ class _Singletons(_Probe):
 def _every_body_conflicts(current, incoming, ntbox):
     """The conflicts of the rewrite: one pass of fresh supports over every
     flattened body."""
-    index = current.copy()
     arriving = incoming.occurrences()
-    for o in arriving:
-        index.add(o.atom, o.timestamp)
+    index = OccurrenceIndex(current | arriving)
     supports = _Singletons(index, OccurrenceIndex(arriving))
     found = {}
     for body in ntbox.flattened_negatives:
@@ -777,7 +810,7 @@ def _stepwise_repairing_add(wm, abox, tbox, ntbox):
     every flattened body, resolved newest-first, retraction of the older
     removals, then add_abox of the surviving incoming atoms."""
     ref = wm.copy()
-    conflicts = _every_body_conflicts(ref._asserted, abox, ntbox)
+    conflicts = _every_body_conflicts(ref.asserted_occurrences(), abox, ntbox)
     removed = resolve_conflicts(conflicts)
     older = {o for o in removed if o.timestamp < abox.timestamp}
     if older:
@@ -859,13 +892,12 @@ def test_a_clash_free_tick_enumerates_no_conflicts(monkeypatch):
     monkeypatch.setattr(_Instantiations, "fresh",
                         lambda *args: calls.append("_Instantiations.fresh"))
     tbox = parse_tbox("A & B < bot\nC < A")
-    ntbox = unfold_negative_inclusions(tbox, 3)
     wm = build_window(ext(0, 3), [box(0, catom("A", "a"))], tbox)
-    _, report = add_abox_with_repair(wm, box(1, catom("C", "b"), catom("B", "c")), tbox, ntbox)
+    _, report = add_abox_with_repair(wm, box(1, catom("C", "b"), catom("B", "c")), tbox)
     assert calls == []
     assert report == RepairReport(removed=frozenset(), conflicts=())
     assert wm.homes(catom("A", "b")) == {ts(1)}
-    _, report = add_abox_with_repair(wm, box(2, catom("C", "c")), tbox, ntbox)
+    _, report = add_abox_with_repair(wm, box(2, catom("C", "c")), tbox)
     assert calls.count("find_conflicts") == 1 and "_Instantiations.fresh" not in calls
     assert report.removed == frozenset({occ(catom("B", "c"), 1)})
 
@@ -874,14 +906,15 @@ def test_a_raising_nested_block_undoes_only_its_own_changes():
     a, b = catom("A", "a"), catom("B", "a")
     wm = WindowModel(ext(0, 3))
     with wm._atomic() as journal:
-        wm._insert(a, ts(1), asserted=True)
-        wm.entry_timestamps.append(ts(1))
+        wm._insert(a, ts(1))
+        wm._ticks[ts(1)] = frozenset({a})
         outer_entries = list(journal)
         with pytest.raises(_Planted):
             with wm._atomic():
-                wm._insert(b, ts(2), asserted=True)
-                wm._discard(wm._index, a, ts(1))
-                wm.entry_timestamps.append(ts(2))
+                wm._insert(b, ts(2))
+                wm._discard(a, ts(1))
+                wm._ticks[ts(2)] = frozenset({b})
+                wm._ticks[ts(1)] -= {a}
                 wm.extent = ext(1, 3)
                 raise _Planted
         assert journal == outer_entries
@@ -894,15 +927,14 @@ def test_a_raising_nested_block_undoes_only_its_own_changes():
 
 def test_slide_changes_leave_out_atoms_of_rolled_back_blocks():
     tbox = parse_tbox("A < B\nA & C < bot")
-    ntbox = unfold_negative_inclusions(tbox, 3)
     stream = [box(0, catom("A", "a")), box(1, catom("C", "c"))]
 
     def hook(model, b):
         with pytest.raises(_Planted):
             with model._atomic():
-                model._insert(catom("Z", "z"), b.timestamp, asserted=True)
+                model._insert(catom("Z", "z"), b.timestamp)
                 raise _Planted
-        return add_abox_with_repair(model, b, tbox, ntbox)[1]
+        return add_abox_with_repair(model, b, tbox)[1]
 
     report = WindowModel(ext(0, 1)).slide(stream, ext(0, 1), tbox, repair=hook)
     assert report.changed == {catom("A", "a"), catom("B", "a"), catom("C", "c")}
