@@ -4,7 +4,8 @@
 Covers the four behaviors the suite gates exactly: home-timestamp
 attribution over a growing-then-sliding window, conflict detection and
 newest-first resolution, timestamps acting as trust levels, and the
-car-pedals repair during a slide.
+car-pedals repair during a slide. The output is deterministic; CI diffs it
+against scripts/worked_examples.expected.
 """
 
 import sys

@@ -59,13 +59,11 @@ class WindowLines:
     Holds one line per atom and the sorted list of the atoms. update
     re-renders the line of each changed atom the model still holds and
     drops the line of each one it no longer holds; an atom outside the
-    change set kept its homes, so its line still stands. A model built by
-    sliding a new WindowModel lists every atom as changed, so it needs a
-    new, empty WindowLines.
+    change set kept its homes, so its line still stands.
     """
 
-    def __init__(self, labels):
-        self.labels = labels
+    def __init__(self):
+        self.labels = _Labels()
         self.line = {}
         self.atoms = []
 
@@ -115,33 +113,29 @@ def run(config, out=None, err=None):
         print(f"error: {e}", file=err)
         return EXIT_ENGINE
 
-    if not stream:
+    if not stream or stream[-1].timestamp < spec.origin:
         return EXIT_OK
-    horizon = stream[-1].timestamp
-    extents = window_extents(spec, horizon) if horizon >= spec.origin else []
+    extents = window_extents(spec, stream[-1].timestamp)
 
     hook = None
     if config.repair:
         def hook(model, box):
             return add_abox_with_repair(model, box, tbox)[1]
 
-    wm = None
+    # A failed slide leaves the model as it was, so after an inconsistent
+    # window the run slides on from the last consistent one.
+    wm = WindowModel(extents[0])
+    rendered = WindowLines()
     prev_atoms = set()  # the atoms of the last window printed in diff mode
-    labels = _Labels()
     try:
         for extent in extents:
             lines = [f"WINDOW {extent}"]
-            rebuilt = wm is None
             try:
-                if rebuilt:
-                    wm = WindowModel(extent)
-                    rendered = WindowLines(labels)
                 report = wm.slide(stream, extent, tbox, repair=hook)
             except UnexpectedInconsistency as exc:
                 lines.append("INCONSISTENT")
                 print("\n".join(lines), file=out)
                 print(file=out)
-                wm = None
                 if config.skip_inconsistent:
                     continue
                 print(f"error: window {extent} is inconsistent: {exc}", file=err)
@@ -150,14 +144,11 @@ def run(config, out=None, err=None):
             if config.emit == "window":
                 rendered.update(wm, report.changed)
                 lines.extend(rendered.lines())
-                for occ in sorted(report.removals, key=lambda o: o.sort_key):
-                    lines.append(f"REMOVED {labels[occ.timestamp]} {occ.atom}")
+                lines.extend(f"REMOVED {rendered.labels[occ.timestamp]} {occ.atom}"
+                             for occ in report.removals)
             else:
-                # After a rebuild the diff is against the last printed
-                # window, which the change set of a new model does not see.
-                candidates = report.changed | prev_atoms if rebuilt else report.changed
-                gone = sorted(a for a in candidates if a in prev_atoms and not wm.homes(a))
-                new = sorted(a for a in candidates if a not in prev_atoms and wm.homes(a))
+                gone = sorted(a for a in report.changed if a in prev_atoms and not wm.homes(a))
+                new = sorted(a for a in report.changed if a not in prev_atoms and wm.homes(a))
                 lines.extend(f"- {a}" for a in gone)
                 lines.extend(f"+ {a}" for a in new)
                 prev_atoms.difference_update(gone)
@@ -212,12 +203,14 @@ class BenchResult:
         return "\n".join(lines)
 
 
-def _check_bench_args(seed, overlap, timestamps):
+def _check_bench_args(seed, overlap, timestamps, atoms_per_tick):
     """Raise ValueError for bench arguments it cannot run."""
     if seed is None:
         raise ValueError("bench requires a seed")
     if timestamps < 2:
         raise ValueError(f"bench needs at least 2 timestamps, not {timestamps}")
+    if atoms_per_tick < 0:
+        raise ValueError(f"atoms per tick must be at least 0, not {atoms_per_tick}")
     if not 0 <= overlap < 100:
         raise ValueError(f"overlap must be at least 0 and below 100, not {overlap:g}")
 
@@ -228,7 +221,7 @@ def bench(seed, overlap=90.0, timestamps=200, atoms_per_tick=20):
     overlap by overlap percent, also checking the two routes produce the
     same atoms. Arguments it cannot run raise ValueError before anything is
     built."""
-    _check_bench_args(seed, overlap, timestamps)
+    _check_bench_args(seed, overlap, timestamps, atoms_per_tick)
     tbox, stream = bench_workload(seed, n_ticks=timestamps, atoms_per_tick=atoms_per_tick)
     width = Timestamp.of(max(1, timestamps // 4))
     slide_micros = max(1, round(width.micros * (1 - overlap / 100)))
@@ -237,11 +230,9 @@ def bench(seed, overlap=90.0, timestamps=200, atoms_per_tick=20):
 
     rows = []
     mismatches = 0
-    wm = None
+    wm = WindowModel(extents[0])
     for extent in extents:
         t0 = time.perf_counter_ns()
-        if wm is None:
-            wm = WindowModel(extent)
         wm.slide(stream, extent, tbox)
         incr = (time.perf_counter_ns() - t0) // 1000
 
@@ -275,7 +266,7 @@ def main(argv=None):
         p.add_argument("--atoms-per-tick", type=int, default=20)
         a = p.parse_args(argv[1:])
         try:
-            _check_bench_args(a.seed, a.overlap, a.timestamps)
+            _check_bench_args(a.seed, a.overlap, a.timestamps, a.atoms_per_tick)
         except ValueError as e:
             p.error(str(e))
         print(bench(a.seed, a.overlap, a.timestamps, a.atoms_per_tick).render_csv())

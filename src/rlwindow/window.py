@@ -55,7 +55,9 @@ class SlideReport:
     index, whether by expiry, ingestion, repair or rederivation. An atom
     outside it has the homes it had before the slide, so a reader can bring
     a rendering of the previous window up to date from it alone. Sliding a
-    new model lists every atom of the window it builds."""
+    new model lists every atom of the window it builds. removals holds the
+    occurrences repair retracted, ordered by sort_key: oldest first, then by
+    atom."""
 
     extent: WindowExtent
     added_occurrences: int = 0
@@ -577,7 +579,7 @@ class WindowModel:
                 break
             if repair is not None:
                 rep = repair(self, box)
-                removals.extend(sorted(rep.removed, key=lambda o: o.sort_key))
+                removals.extend(rep.removed)
                 report.conflicts += len(rep.conflicts)
                 # retractions of older entries shrink the store mid-ingestion;
                 # count additions gross of that, not net
@@ -585,5 +587,5 @@ class WindowModel:
             else:
                 self.add_abox(box, tbox)
         report.added_occurrences = self._index.size() - after + repair_shrink
-        report.removals = tuple(removals)
+        report.removals = tuple(sorted(removals, key=attrgetter("sort_key")))
         return report

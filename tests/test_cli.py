@@ -1,7 +1,7 @@
 import io
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (GOLDEN_PEDALS_REPAIRED, GOLDEN_WORKED_WINDOWS,
@@ -119,7 +119,9 @@ def test_output_is_deterministic(files, capsys):
 
 def _full_render(tbox, stream, extents, hook, emit):
     """The run's stdout with --skip-inconsistent, each window rendered whole
-    from attributed_atoms."""
+    from attributed_atoms. It rebuilds from a new model after an
+    inconsistent window on purpose: it is the referee for a run loop that
+    slides on from the last consistent window instead."""
     out, wm, printed = [], None, set()
     for extent in extents:
         out.append(f"WINDOW {extent}")
@@ -149,10 +151,14 @@ def _full_render(tbox, stream, extents, hook, emit):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=100_000), st.booleans(),
        st.sampled_from(["window", "diff"]), st.sampled_from([1, 2]))
+# Seed 1 without repair: [2, 5] is consistent, [3, 6] is not, and [4, 7]
+# slides on from [2, 5], keeping some of its lines and changing some homes.
+@example(1, False, "window", 1)
+@example(1, False, "diff", 1)
 def test_incremental_lines_equal_a_full_render(tmp_path_factory, seed, repair, emit, slide):
     # Cyclic TBoxes, with and without the repair hook. Without it some
-    # windows are inconsistent, and the run skips them and rebuilds from a
-    # new model.
+    # windows are inconsistent, and the run skips them and slides on from
+    # the last consistent window.
     tbox = random_tbox(seed, n_concepts=4, n_roles=2, n_axioms=6, n_negative=2,
                        acyclic=False)
     boxes = random_stream(seed + 1, n_ticks=12, atoms_per_tick=3,
@@ -189,13 +195,18 @@ def test_unrepaired_clash_halts_with_status_2(files, capsys):
     assert "negative inclusion violated" in err
 
 
-def test_skipping_inconsistent_windows_continues(files, capsys):
+@pytest.mark.parametrize("emit, want", [
+    ("window", PEDALS_HALT + "WINDOW [2, 4]\nBreaksPressed(x) @ {3,4}\nClutchPressed(x) @ {4}\n\n"),
+    ("diff", "WINDOW [0, 2]\n+ GasPedalPressed(x)\n\nWINDOW [1, 3]\nINCONSISTENT\n\n"
+             "WINDOW [2, 4]\n- GasPedalPressed(x)\n+ BreaksPressed(x)\n+ ClutchPressed(x)\n\n"),
+], ids=["window", "diff"])
+def test_skipping_inconsistent_windows_continues(files, capsys, emit, want):
     tbox, stream = files(PEDALS_TBOX, PEDALS_STREAM)
     code, out, err = run_main(
         ["--tbox", tbox, "--stream", stream, "--width", "2", "--slide", "1",
-         "--origin", "2", "--skip-inconsistent"], capsys)
-    assert code == 0
-    assert out == PEDALS_HALT + "WINDOW [2, 4]\nBreaksPressed(x) @ {3,4}\nClutchPressed(x) @ {4}\n\n"
+         "--origin", "2", "--skip-inconsistent", "--emit", emit], capsys)
+    assert (code, err) == (0, "")
+    assert out == want
 
 
 def test_diff_baseline_carries_past_inconsistent_windows(files, capsys):
@@ -374,7 +385,7 @@ def test_bench_requires_a_seed():
 
 @pytest.mark.parametrize("option, value", [
     ("timestamps", 0), ("timestamps", -5), ("timestamps", 1),
-    ("overlap", -10.0), ("overlap", 100.0)])
+    ("overlap", -10.0), ("overlap", 100.0), ("atoms_per_tick", -3)])
 def test_bench_refuses_arguments_it_cannot_run(option, value, capsys, monkeypatch):
     # Refused before the workload or a single extent is built: at 100%
     # overlap the slide would be one micro-unit wide.
@@ -386,6 +397,6 @@ def test_bench_refuses_arguments_it_cannot_run(option, value, capsys, monkeypatc
     with pytest.raises(ValueError):
         cli.bench(7, **{option: value})
     with pytest.raises(SystemExit) as stopped:
-        cli.main(["bench", "--seed", "7", f"--{option}", str(value)])
+        cli.main(["bench", "--seed", "7", f"--{option.replace('_', '-')}", str(value)])
     assert stopped.value.code == 2
     assert "rlwindow bench: error:" in capsys.readouterr().err
