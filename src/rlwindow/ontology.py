@@ -356,16 +356,14 @@ def format_tbox(tbox):
 
 @dataclass(frozen=True)
 class Exact:
-    def __str__(self):
-        return "exact"
+    """The rewrite of a negative inclusion closed within the depth budget."""
 
 
 @dataclass(frozen=True)
 class Truncated:
-    depth: int
+    """The rewrite still produced new bodies at its last allowed depth."""
 
-    def __str__(self):
-        return f"truncated at depth {self.depth}"
+    depth: int
 
 
 @dataclass(frozen=True)

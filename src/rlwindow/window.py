@@ -2,15 +2,17 @@
 
 State is one index at occurrence granularity, where every atom in the window
 carries the set of timestamps it is homed at, and the window's ticks, each
-with the asserted atoms that survive at it and are homed there. Mutations
-journal their index changes. A derived atom is added at the minimum
-timestamp over the occurrences instantiating some rule body for it, and
-every distinct instantiation contributes its own minimum, so the atom may be
-homed at several ticks. Because each home timestamp certifies a derivation
-using only occurrences at that tick or later, expiring the oldest ticks is
-pure deletion and requires no re-reasoning. The index buckets the atoms
-homed at each timestamp, so expiry discards exactly the expired buckets,
-through the same journaled removal as retraction, and costs what it removes.
+with the asserted atoms that survive at it and are homed there. Each public
+mutation is one transaction: its index changes go to one journal, which
+undoes them when it raises and from which a slide reads its report. A
+derived atom is added at the minimum timestamp over the occurrences
+instantiating some rule body for it, and every distinct instantiation
+contributes its own minimum, so the atom may be homed at several ticks.
+Because each home timestamp certifies a derivation using only occurrences
+at that tick or later, expiring the oldest ticks is pure deletion and
+requires no re-reasoning. The index buckets the atoms homed at each
+timestamp, so expiry discards exactly the expired buckets, through the same
+journaled removal as retraction, and costs what it removes.
 
 Adding a momentary ABox runs a semi-naive fixpoint: each round only considers
 rule-body instantiations that use at least one occurrence added in the
@@ -48,23 +50,25 @@ class AttributedAtom:
         return "asserted" if self.asserted_at else "derived"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SlideReport:
-    """What one slide did. changed holds every atom whose home set the slide
-    may have changed: each atom that gained or lost a home in the window's
-    index, whether by expiry, ingestion, repair or rederivation. An atom
-    outside it has the homes it had before the slide, so a reader can bring
-    a rendering of the previous window up to date from it alone. Sliding a
-    new model lists every atom of the window it builds. removals holds the
-    occurrences repair retracted, ordered by sort_key: oldest first, then by
-    atom."""
+    """What one slide did, read off its journal. expired_occurrences counts
+    the occurrences expiry discarded. added_occurrences counts every index
+    insert of the slide: ingested assertions, their consequences, and the
+    occurrences rederivation put back after a retraction. changed holds
+    every atom whose home set the slide may have changed: each atom that
+    gained or lost a home in the window's index, whether by expiry,
+    ingestion, repair or rederivation. An atom outside it has the homes it
+    had before the slide, so a reader can bring a rendering of the previous
+    window up to date from it alone. Sliding a new model lists every atom of
+    the window it builds. removals holds the occurrences repair retracted,
+    ordered by sort_key: oldest first, then by atom."""
 
     extent: WindowExtent
-    added_occurrences: int = 0
-    expired_occurrences: int = 0
-    removals: tuple[Occurrence, ...] = ()
-    conflicts: int = 0
-    changed: frozenset[Atom] = frozenset()
+    added_occurrences: int
+    expired_occurrences: int
+    removals: tuple[Occurrence, ...]
+    changed: frozenset[Atom]
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +353,7 @@ class WindowModel:
         # atoms; a tick's set is replaced, never changed in place.
         self._ticks: dict[Timestamp, frozenset[Atom]] = {}
         self._index = OccurrenceIndex()  # every occurrence, asserted or derived
-        # Undo entries (atom, timestamp, added) of the open atomic block's
+        # Undo entries (atom, timestamp, added) of the open transaction's
         # index changes, or None outside one.
         self._journal = None
 
@@ -377,42 +381,46 @@ class WindowModel:
     def is_asserted(self, atom, ts):
         return atom in self._ticks.get(ts, ())
 
+    # Index writes; each runs inside a transaction (_atomic) and journals
+    # what it changed.
+
     def _insert(self, atom, ts):
         fresh = self._index.add(atom, ts)
-        if fresh and self._journal is not None:
+        if fresh:
             self._journal.append((atom, ts, True))
         return fresh
 
     def _discard(self, atom, ts):
-        if self._index.discard(atom, ts) and self._journal is not None:
+        if self._index.discard(atom, ts):
             self._journal.append((atom, ts, False))
 
     @contextmanager
     def _atomic(self):
-        """Run the block all-or-nothing: if it raises, every index change it
-        journaled is undone and the ticks and the extent are restored before
-        the exception propagates. A nested block is a savepoint: it shares
-        the outermost block's journal, and when it raises it undoes and
-        drops only its own suffix of it, so an enclosing block that catches
-        the exception goes on and may commit. Yields the journal."""
-        outer = self._journal
-        journal = self._journal = [] if outer is None else outer
-        start = len(journal)
+        """Run the block as one transaction and yield its journal. The
+        outermost block opens the journal and saves the ticks and the
+        extent; if it raises, every journaled index change is undone and
+        they are restored before the exception propagates. A nested block
+        joins the open transaction: it only yields the same journal, and a
+        raise inside it undoes the whole transaction once it leaves the
+        outermost block."""
+        if self._journal is not None:
+            yield self._journal
+            return
+        journal = self._journal = []
         saved = (self.extent, dict(self._ticks))
         try:
             yield journal
         except BaseException:
             index = self._index
-            for atom, ts, added in reversed(journal[start:]):
+            for atom, ts, added in reversed(journal):
                 if added:
                     index.discard(atom, ts)
                 else:
                     index.add(atom, ts)
-            del journal[start:]
             self.extent, self._ticks = saved
             raise
         finally:
-            self._journal = outer
+            self._journal = None
 
     # -- views -------------------------------------------------------------
 
@@ -542,50 +550,38 @@ class WindowModel:
         extent builds that window. They are found by bisection, so a slide
         reads O(log n) boxes besides the ones it ingests. The optional
         repair hook takes (model, abox), resolves conflicts, adds the abox
-        and returns a repair.RepairReport, whose removed, conflicts,
-        overdeleted and rederived fields are read.
+        and returns a report whose removed field is read.
 
-        The report's changed set is read from the undo journal when the
-        slide succeeds: the atoms of its entries, each a change to the
-        window's index. Changes to the ticks alone are left out, since an
-        atom's printed line shows only its homes, and so are the entries of
-        nested blocks that rolled back, which drop their own entries."""
+        The report is read off the slide's own journal entries, those after
+        the ones an enclosing transaction already holds: expiry wrote the
+        expired discards, the inserts are the added occurrences, and the
+        atoms of all of them are the changed set. Changes to the ticks alone
+        are left out, since an atom's printed line shows only its homes."""
         if new_extent.start < self.extent.start or new_extent.end < self.extent.end:
             raise ValueError("windows only slide forward")
+        removals = []
         with self._atomic() as journal:
             start = len(journal)
-            report = self._slide(stream, new_extent, tbox, repair)
-            report.changed = frozenset(entry[0] for entry in journal[start:])
-        return report
-
-    def _slide(self, stream, new_extent, tbox, repair):
-        report = SlideReport(extent=new_extent)
-        before = self._index.size()
-        self.drop_before(new_extent.start)
-        self.extent = new_extent
-        after = self._index.size()
-        report.expired_occurrences = before - after
-
-        removals = []
-        repair_shrink = 0
-        key = attrgetter("timestamp")
-        # Ticks that survived expiry are inside the new extent.
-        newest = next(reversed(self._ticks), None)
-        first = (bisect_right(stream, newest, key=key) if newest is not None
-                 else bisect_left(stream, new_extent.start, key=key))
-        for i in range(first, len(stream)):
-            box = stream[i]
-            if box.timestamp > new_extent.end:
-                break
-            if repair is not None:
-                rep = repair(self, box)
-                removals.extend(rep.removed)
-                report.conflicts += len(rep.conflicts)
-                # retractions of older entries shrink the store mid-ingestion;
-                # count additions gross of that, not net
-                repair_shrink += rep.overdeleted - rep.rederived
-            else:
-                self.add_abox(box, tbox)
-        report.added_occurrences = self._index.size() - after + repair_shrink
-        report.removals = tuple(sorted(removals, key=attrgetter("sort_key")))
-        return report
+            self.drop_before(new_extent.start)
+            expired = len(journal) - start
+            self.extent = new_extent
+            key = attrgetter("timestamp")
+            # Ticks that survived expiry are inside the new extent.
+            newest = next(reversed(self._ticks), None)
+            first = (bisect_right(stream, newest, key=key) if newest is not None
+                     else bisect_left(stream, new_extent.start, key=key))
+            for i in range(first, len(stream)):
+                box = stream[i]
+                if box.timestamp > new_extent.end:
+                    break
+                if repair is None:
+                    self.add_abox(box, tbox)
+                else:
+                    removals.extend(repair(self, box).removed)
+            entries = journal[start:]
+        return SlideReport(
+            extent=new_extent,
+            added_occurrences=sum(added for _, _, added in entries),
+            expired_occurrences=expired,
+            removals=tuple(sorted(removals, key=attrgetter("sort_key"))),
+            changed=frozenset(atom for atom, _, _ in entries))

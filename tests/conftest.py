@@ -55,10 +55,11 @@ def provisional_model(current, incoming, tbox):
                                   incoming.timestamp))
     for t in sorted({o.timestamp for o in current}):
         wm._ticks[t] = frozenset(o.atom for o in current if o.timestamp == t)
-    for o in current:
-        wm._insert(o.atom, o.timestamp)
-    wm._fixpoint(tbox, OccurrenceIndex(current))
-    clashes = wm._ingest(incoming, tbox)
+    with wm._atomic():
+        for o in current:
+            wm._insert(o.atom, o.timestamp)
+        wm._fixpoint(tbox, OccurrenceIndex(current))
+        clashes = wm._ingest(incoming, tbox)
     return wm, {x for _, x in clashes}
 
 

@@ -159,7 +159,8 @@ def test_cross_check_passes_on_the_worked_stream(worked_tbox, worked_stream):
 
 def test_cross_check_flags_a_corrupted_index(worked_tbox, worked_stream):
     wm = build_window(ext(1, 2), worked_stream, worked_tbox)
-    wm._insert(catom("Ghost", "a"), ts(1))
+    with wm._atomic():
+        wm._insert(catom("Ghost", "a"), ts(1))
     verdict = cross_check(wm, worked_stream, ext(1, 2), worked_tbox)
     assert not verdict.match
     assert any("Ghost" in line for line in verdict.diff)
@@ -172,10 +173,11 @@ def test_cross_check_flags_unrepaired_survivors(pedals_tbox, pedals_stream):
     # verdict must call out both the repair gap and the matching negative body.
     ntbox = unfold_negative_inclusions(pedals_tbox, 3)
     wm = WindowModel(ext(0, 4))
-    for b in pedals_stream:
-        wm._ticks[b.timestamp] = b.atoms
-        for o in b.occurrences():
-            wm._insert(o.atom, o.timestamp)
+    with wm._atomic():
+        for b in pedals_stream:
+            wm._ticks[b.timestamp] = b.atoms
+            for o in b.occurrences():
+                wm._insert(o.atom, o.timestamp)
     verdict = cross_check(wm, pedals_stream, ext(0, 4), pedals_tbox, ntbox)
     assert not verdict.match
     assert any("oracle repair drops it" in line for line in verdict.diff)

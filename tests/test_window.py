@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import atoms_of, box, build_window, catom, ext, occ, ts
@@ -317,13 +317,21 @@ def _homes_changed(before, after):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=100_000), st.booleans())
+@example(9, True)  # the slide to [2, 5] rederives 2 occurrences
 def test_slide_reports_every_atom_whose_homes_changed(seed, repair):
     # Cyclic TBoxes. Without repair, a clash raises; the run then starts
     # over from a new model, whose first slide must report every atom it
-    # holds.
+    # holds. The counts balance: the slide expires what is homed before its
+    # start, and every other occurrence it removes is one repair overdeleted,
+    # so rederived occurrences count as added.
     tbox = random_tbox(seed, n_concepts=4, n_roles=2, n_axioms=6, n_negative=2,
                        acyclic=False)
-    hook = (lambda model, b: add_abox_with_repair(model, b, tbox)[1]) if repair else None
+    repairs = []
+
+    def hook(model, b):
+        repairs.append(add_abox_with_repair(model, b, tbox)[1])
+        return repairs[-1]
+
     stream = random_stream(seed + 1, n_ticks=10, atoms_per_tick=3,
                            n_individuals=3, n_concepts=4, n_roles=2)
     wm = None
@@ -331,13 +339,20 @@ def test_slide_reports_every_atom_whose_homes_changed(seed, repair):
         if wm is None:
             wm = WindowModel(ext(end - 3, end))
         before, homes = wm.copy(), _homes_by_atom(wm)
+        repairs.clear()
         try:
-            report = wm.slide(stream, ext(end - 3, end), tbox, repair=hook)
+            report = wm.slide(stream, ext(end - 3, end), tbox,
+                              repair=hook if repair else None)
         except EngineError:
             assert vars(wm) == vars(before)
             wm = None
             continue
         assert _homes_changed(homes, _homes_by_atom(wm)) <= report.changed
+        assert report.expired_occurrences == sum(
+            o.timestamp < ts(end - 3) for o in before.occurrences())
+        assert len(wm.occurrences()) == (
+            len(before.occurrences()) - report.expired_occurrences
+            + report.added_occurrences - sum(rep.overdeleted for rep in repairs))
 
 
 class _Planted(Exception):
