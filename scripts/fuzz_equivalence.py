@@ -2,7 +2,9 @@
 """Seeded equivalence fuzzing of the incremental engine against the oracles.
 
 Modes:
-  materialization  sliding windows vs from-scratch canonical models
+  materialization  windows sliding by one tick and by two, whose fresh ticks
+                   are ingested with one fixpoint, vs from-scratch canonical
+                   models (atoms) and vs windows built tick by tick (homes)
   repair           repaired survivor sets vs the definitional window repair,
                    and the repaired materialization (atoms and homes) vs a
                    window built from scratch out of the survivors, re-checked
@@ -32,7 +34,7 @@ from rlwindow.ontology import unfold_negative_inclusions
 from rlwindow.oracle import definitional_window_repair, naive_window_materialization
 from rlwindow.repair import add_abox_with_repair, apply_repair
 from rlwindow.stream import (MomentaryABox, Timestamp, WindowExtent, WindowSpec,
-                             window_extents)
+                             window_abox, window_extents)
 from rlwindow.synth import random_stream, random_tbox
 from rlwindow.window import WindowModel
 
@@ -40,15 +42,19 @@ from rlwindow.window import WindowModel
 def check_materialization(seed):
     tbox = random_tbox(seed, n_axioms=8, n_negative=0, acyclic=False)
     stream = random_stream(seed + 1, n_ticks=8, atoms_per_tick=4)
-    spec = WindowSpec(Timestamp.of(3), Timestamp.of(1), Timestamp.of(3))
-    wm = None
-    for extent in window_extents(spec, stream[-1].timestamp):
-        if wm is None:
-            wm = WindowModel(extent)
-        wm.slide(stream, extent, tbox)
-        expect = naive_window_materialization(stream, extent, tbox)
-        if frozenset(wm.window_interpretation().atoms()) != frozenset(expect.atoms()):
-            return f"window {extent} diverges from the canonical model"
+    for slide in (1, 2):
+        spec = WindowSpec(Timestamp.of(3), Timestamp.of(slide), Timestamp.of(3))
+        wm = None
+        for extent in window_extents(spec, stream[-1].timestamp):
+            if wm is None:
+                wm = WindowModel(extent)
+            wm.slide(stream, extent, tbox)
+            expect = naive_window_materialization(stream, extent, tbox)
+            if frozenset(wm.window_interpretation().atoms()) != frozenset(expect.atoms()):
+                return f"slide {slide}: window {extent} diverges from the canonical model"
+            ticked = _scratch_window(window_abox(stream, extent), extent, tbox)
+            if wm.occurrences() != ticked.occurrences():
+                return f"slide {slide}: window {extent} diverges from a tick-by-tick build"
     return None
 
 

@@ -261,7 +261,7 @@ def add_abox_with_repair(wm, abox, tbox, ntbox=None):
     breaks an invariant: UnexpectedInconsistency. ntbox, the rewrite, is
     accepted for older callers and not read. Returns (wm, RepairReport)."""
     with wm._atomic():
-        clashes = wm._ingest(abox, tbox)
+        clashes = wm._ingest([abox], tbox)
         if not clashes:
             return wm, RepairReport(removed=frozenset(), conflicts=())
         conflicts = find_conflicts(wm, abox, tbox, {x for _, x in clashes})

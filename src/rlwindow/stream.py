@@ -16,7 +16,15 @@ from .errors import OutOfOrder, ParseError
 MICROS = 1_000_000  # fixed-point scale, six fractional digits
 
 _TS_RE = re.compile(r"^[+-]?\d+(?:\.\d{1,6})?$")
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAME_RE = re.compile(rf"^{_NAME}$")
+_ATOM_RE = re.compile(rf"^({_NAME})\(([^)]*)\)$")
+# A well-formed stream line of ASCII text, spaces and tabs, and no comment.
+# Groups: the timestamp and atom texts as the general path splits them, then
+# the atom's predicate and its one or two arguments as parse_atom reads them.
+_LINE_RE = re.compile(
+    rf"[ \t]*([+-]?[0-9]+(?:\.[0-9]{{1,6}})?)[ \t]+"
+    rf"(({_NAME})\([ \t]*({_NAME})[ \t]*(?:,[ \t]*({_NAME})[ \t]*)?\))[ \t]*")
 
 
 class Timestamp(int):
@@ -163,7 +171,7 @@ class WindowSpec:
 def parse_atom(text, line=None):
     """Parse 'A(a)' or 'R(a,b)'."""
     text = text.strip()
-    m = re.match(r"^([A-Za-z_][A-Za-z0-9_]*)\(([^)]*)\)$", text)
+    m = _ATOM_RE.match(text)
     if not m:
         raise ParseError(f"bad atom {text!r}", line=line)
     pred, inner = m.group(1), m.group(2)
@@ -183,24 +191,42 @@ def parse_stream(text):
     Each non-comment line is 'TIMESTAMP atom'. Consecutive lines with the
     same timestamp are grouped into one momentary ABox; once a later
     timestamp is seen, returning to an earlier one is an OutOfOrder error.
+
+    A well-formed line (_LINE_RE) is split by one match, and each distinct
+    timestamp and atom text is parsed once per call, so equal atoms share
+    one tuple; every other line takes the general path, which strips
+    comments and reports what is wrong with it.
     """
     boxes = []
     cur_ts = None
     cur_atoms = set()
+    stamps, atoms, interned = {}, {}, {}
 
     def flush():
         if cur_ts is not None:
             boxes.append(MomentaryABox(cur_ts, frozenset(cur_atoms)))
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split(None, 1)
-        if len(parts) != 2:
-            raise ParseError(f"expected 'TIMESTAMP atom', got {raw.strip()!r}", line=lineno)
-        ts = Timestamp.parse(parts[0], line=lineno)
-        atom = parse_atom(parts[1], line=lineno)
+        m = _LINE_RE.fullmatch(raw)
+        if m:
+            ts_text, atom_text, pred, first, second = m.groups()
+            ts = stamps.get(ts_text)
+            if ts is None:
+                ts = stamps[ts_text] = Timestamp.parse(ts_text)
+            atom = atoms.get(atom_text)
+            if atom is None:
+                atom = (ConceptAtom(pred, first) if second is None
+                        else RoleAtom(pred, first, second))
+                atom = atoms[atom_text] = interned.setdefault(atom, atom)
+        else:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split(None, 1)
+            if len(parts) != 2:
+                raise ParseError(f"expected 'TIMESTAMP atom', got {raw.strip()!r}", line=lineno)
+            ts = Timestamp.parse(parts[0], line=lineno)
+            atom = parse_atom(parts[1], line=lineno)
         if cur_ts is None or ts > cur_ts:
             flush()
             cur_ts = ts

@@ -21,7 +21,8 @@ round is _Probe, the engine's one rule-body evaluator, annotated with homes
 here and with instantiations, the atoms of each way to match a body, in
 conflict enumeration (repair._Instantiations). Each round also records
 where it instantiates a negative inclusion: add_abox raises for the first
-such clash, and repair enumerates conflicts at their bindings only.
+such clash, and repair enumerates conflicts at their bindings only. Without
+repair, a slide seeds one fixpoint with all of its fresh ticks.
 """
 
 from __future__ import annotations
@@ -471,14 +472,16 @@ class WindowModel:
 
     # -- reasoning ----------------------------------------------------------
 
-    def _fixpoint(self, tbox, delta):
+    def _fixpoint(self, tbox, delta, first_clash=False):
         """Close the index under the positive axioms, semi-naive from the
         seed occurrences in the OccurrenceIndex delta, which the index must
         already hold. Each round also records the negative inclusions it
         instantiates with a fresh occurrence, as (axiom, binding) clashes in
         round, axiom and binding order. On an index without a clash before
-        the seed, every binding of the closure's clashes is recorded.
-        Returns (occurrences inserted, clashes)."""
+        the seed, every binding of the closure's clashes is recorded; with
+        first_clash, the rounds stop at the first that records one, for a
+        caller that only raises it and undoes the rest. Returns
+        (occurrences inserted, clashes)."""
         inserted = 0
         clashes = []
         while delta.size():
@@ -487,6 +490,8 @@ class WindowModel:
                 hit = probe.fresh(ax.body)
                 if hit:
                     clashes.extend((ax, x) for x in sorted(hit))
+            if clashes and first_clash:
+                break
             additions = []
             for atom, homes in probe.consequences(tbox):
                 have = self._index.homes(atom)
@@ -498,32 +503,35 @@ class WindowModel:
             inserted += delta.size()
         return inserted, clashes
 
-    def _ingest(self, abox, tbox):
-        """Append one momentary ABox, newest in the window, and close the
-        index under the positive axioms. Derived facts gain homes at the
-        minimum timestamp of each new instantiation; nothing already present
-        is touched. Returns the clashes the fixpoint recorded. Run inside an
-        atomic block."""
-        ts, newest = abox.timestamp, next(reversed(self._ticks), None)
-        if newest is not None and ts <= newest:
-            raise StaleTimestamp(f"ABox at {ts} is not newer than loaded entry {newest}")
-        if not self.extent.contains(ts):
-            raise StaleTimestamp(f"ABox at {ts} outside window {self.extent}")
-        self._ticks[ts] = frozenset(abox.atoms)
+    def _ingest(self, boxes, tbox, raise_clash=False):
+        """Append momentary ABoxes, each newer than the last, and close the
+        index under the positive axioms with one fixpoint seeded with all of
+        their atoms. Derived facts gain homes at the minimum timestamp of
+        each new instantiation; nothing already present is touched. Returns
+        the clashes the fixpoint recorded, or with raise_clash raises
+        UnexpectedInconsistency for the first: the first round, the first
+        axiom in order, the smallest binding. Run inside an atomic block."""
         seed = OccurrenceIndex()
-        for atom in abox.atoms:
-            if self._insert(atom, ts):
-                seed.add(atom, ts)
-        return self._fixpoint(tbox, seed)[1]
+        for abox in boxes:
+            ts, newest = abox.timestamp, next(reversed(self._ticks), None)
+            if newest is not None and ts <= newest:
+                raise StaleTimestamp(f"ABox at {ts} is not newer than loaded entry {newest}")
+            if not self.extent.contains(ts):
+                raise StaleTimestamp(f"ABox at {ts} outside window {self.extent}")
+            self._ticks[ts] = frozenset(abox.atoms)
+            for atom in abox.atoms:
+                if self._insert(atom, ts):
+                    seed.add(atom, ts)
+        clashes = self._fixpoint(tbox, seed, first_clash=raise_clash)[1]
+        if clashes and raise_clash:
+            raise UnexpectedInconsistency(*clashes[0])
+        return clashes
 
     def add_abox(self, abox, tbox):
         """Append one momentary ABox and restore the materialization (see
-        _ingest). Raises UnexpectedInconsistency for the first clash: the
-        first round, the first axiom in order, the smallest binding."""
+        _ingest). Raises UnexpectedInconsistency for the first clash."""
         with self._atomic():
-            clashes = self._ingest(abox, tbox)
-            if clashes:
-                raise UnexpectedInconsistency(*clashes[0])
+            self._ingest([abox], tbox, raise_clash=True)
         return self
 
     def drop_before(self, cutoff):
@@ -545,12 +553,21 @@ class WindowModel:
         """Advance to a newer extent: expire, then ingest the fresh ticks in
         order. The stream is a sequence of momentary ABoxes in increasing
         timestamp order. The fresh boxes are those of the new extent newer
-        than the newest loaded entry, or all of the new extent's boxes when
-        no entry is loaded, so sliding a new WindowModel(extent) to its own
-        extent builds that window. They are found by bisection, so a slide
-        reads O(log n) boxes besides the ones it ingests. The optional
-        repair hook takes (model, abox), resolves conflicts, adds the abox
-        and returns a report whose removed field is read.
+        than the newest entry that survives expiry, or all of the new
+        extent's boxes when none does, so sliding a new
+        WindowModel(extent) to its own extent builds that window. They are
+        found by bisection, so a slide reads O(log n) boxes besides the ones
+        it ingests. The optional repair hook takes (model, abox), resolves
+        conflicts, adds the abox and returns a report whose removed field is
+        read.
+
+        Without repair, a window's closure does not depend on the order its
+        ticks arrive in, so a slide that opens its own transaction ingests
+        two or more fresh ticks with one fixpoint. When that closure
+        clashes, the batch may meet a different clash first than tick-by-tick
+        ingestion would: the raise undoes the slide, which is then replayed
+        tick by tick, so the error is the one add_abox raises for the first
+        clashing tick.
 
         The report is read off the slide's own journal entries, those after
         the ones an enclosing transaction already holds: expiry wrote the
@@ -559,24 +576,35 @@ class WindowModel:
         are left out, since an atom's printed line shows only its homes."""
         if new_extent.start < self.extent.start or new_extent.end < self.extent.end:
             raise ValueError("windows only slide forward")
+        key = attrgetter("timestamp")
+        newest = next(reversed(self._ticks), None)
+        first = (bisect_right(stream, newest, key=key)
+                 if newest is not None and newest >= new_extent.start
+                 else bisect_left(stream, new_extent.start, key=key))
+        fresh = stream[first:bisect_right(stream, new_extent.end, lo=first, key=key)]
+        if repair is None and len(fresh) > 1 and self._journal is None:
+            try:
+                return self._advance(new_extent, fresh, tbox, batch=True)
+            except UnexpectedInconsistency:
+                pass  # undone; the replay raises the first clashing tick's error
+        return self._advance(new_extent, fresh, tbox, repair)
+
+    def _advance(self, new_extent, fresh, tbox, repair=None, batch=False):
+        """The body of slide, given its fresh boxes; batch ingests them with
+        one fixpoint and raises the first clash of their joint closure."""
         removals = []
         with self._atomic() as journal:
             start = len(journal)
             self.drop_before(new_extent.start)
             expired = len(journal) - start
             self.extent = new_extent
-            key = attrgetter("timestamp")
-            # Ticks that survived expiry are inside the new extent.
-            newest = next(reversed(self._ticks), None)
-            first = (bisect_right(stream, newest, key=key) if newest is not None
-                     else bisect_left(stream, new_extent.start, key=key))
-            for i in range(first, len(stream)):
-                box = stream[i]
-                if box.timestamp > new_extent.end:
-                    break
-                if repair is None:
+            if batch:
+                self._ingest(fresh, tbox, raise_clash=True)
+            elif repair is None:
+                for box in fresh:
                     self.add_abox(box, tbox)
-                else:
+            else:
+                for box in fresh:
                     removals.extend(repair(self, box).removed)
             entries = journal[start:]
         return SlideReport(

@@ -59,7 +59,7 @@ def provisional_model(current, incoming, tbox):
         for o in current:
             wm._insert(o.atom, o.timestamp)
         wm._fixpoint(tbox, OccurrenceIndex(current))
-        clashes = wm._ingest(incoming, tbox)
+        clashes = wm._ingest([incoming], tbox)
     return wm, {x for _, x in clashes}
 
 

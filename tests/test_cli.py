@@ -195,6 +195,18 @@ def test_unrepaired_clash_halts_with_status_2(files, capsys):
     assert "negative inclusion violated" in err
 
 
+def test_a_clashing_first_window_names_its_first_clashing_tick(files, capsys):
+    # The first window ingests ticks 1 and 2 with one fixpoint, which meets
+    # the clash at a first; the replay tick by tick reports z, of tick 1.
+    tbox, stream = files("A & B < bot\n", "1 A(z)\n1 B(z)\n2 A(a)\n2 B(a)\n")
+    code, out, err = run_main(
+        ["--tbox", tbox, "--stream", stream, "--width", "1", "--slide", "1",
+         "--origin", "2"], capsys)
+    assert code == 2
+    assert out == "WINDOW [1, 2]\nINCONSISTENT\n\n"
+    assert err == "error: window [1, 2] is inconsistent: negative inclusion violated by 'z'\n"
+
+
 @pytest.mark.parametrize("emit, want", [
     ("window", PEDALS_HALT + "WINDOW [2, 4]\nBreaksPressed(x) @ {3,4}\nClutchPressed(x) @ {4}\n\n"),
     ("diff", "WINDOW [0, 2]\n+ GasPedalPressed(x)\n\nWINDOW [1, 3]\nINCONSISTENT\n\n"

@@ -175,7 +175,7 @@ def test_dependency_order_lists_each_derived_atom_after_its_dependencies(seed):
     wm = WindowModel(ext(0, 3))
     with wm._atomic():
         for b in stream:
-            wm._ingest(b, tbox)
+            wm._ingest([b], tbox)
     probe = _Instantiations(wm._index, None)
     roots = {a.atom for a in wm.attributed_atoms()}
     order, cyclic = repair._dependency_order(probe, tbox, roots)
@@ -364,9 +364,9 @@ def test_marks_derived_only_from_restored_marks_return_in_forward_rounds(monkeyp
     inserted = []
     fixpoint = WindowModel._fixpoint
 
-    def spy(self, tbox, delta):
+    def spy(self, tbox, delta, **kwargs):
         before = self.occurrences()
-        count = fixpoint(self, tbox, delta)
+        count = fixpoint(self, tbox, delta, **kwargs)
         inserted.append(self.occurrences() - before)
         return count
 

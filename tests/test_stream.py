@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import box, catom, ext, occ, ratom, ts
@@ -107,6 +107,113 @@ def test_parse_stream_rejects_malformed_lines():
     with pytest.raises(ParseError) as e:
         parse_stream("1 A(a)\nnonsense\n")
     assert e.value.line == 2
+
+
+def test_parse_stream_shares_equal_atoms():
+    (one,), (two,), (three,), (four,) = (b.atoms for b in parse_stream(
+        "1 A(a)\n2 A(a)\n3 R( a, b)\n4 R(a,b)"))
+    assert one is two and three is four
+
+
+def _reference_parse(text):
+    """A stream file parsed line by line with Timestamp.parse and
+    parse_atom alone: the grouped boxes, or (type, message, line) of the
+    first error."""
+    boxes = []
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split(None, 1)
+            if len(parts) != 2:
+                raise ParseError(f"expected 'TIMESTAMP atom', got {raw.strip()!r}", line=lineno)
+            t = Timestamp.parse(parts[0], line=lineno)
+            atom = parse_atom(parts[1], line=lineno)
+            if boxes and t < boxes[-1][0]:
+                raise OutOfOrder(f"timestamp {t} after {boxes[-1][0]}", line=lineno)
+            if not boxes or t > boxes[-1][0]:
+                boxes.append((t, set()))
+            boxes[-1][1].add(atom)
+    except ParseError as e:
+        return type(e), str(e), e.line
+    return [box(t, *atoms) for t, atoms in boxes]
+
+
+def _outcome(text):
+    try:
+        return parse_stream(text)
+    except ParseError as e:
+        return type(e), str(e), e.line
+
+
+# Stream texts that are mostly well formed, with noise: ticks written
+# plainly, signed, padded or with a zero fraction, or in Arabic-Indic and
+# fullwidth digits, which Timestamp.parse also reads; timestamps it rejects;
+# names and arities parse_atom rejects; Unicode whitespace, which the
+# general path strips and splits on; comments, blank lines, and CRLF ends.
+_good_names = st.sampled_from(["A", "B", "r", "_x", "a1"])
+_bad_names = st.sampled_from(["1a", "a-b", "é", ""])
+_good_pads = st.sampled_from(["", " ", "\t", " \t "])
+_bad_pads = st.sampled_from(["\u3000", "\xa0", "\u2003"])
+_bad_ts = st.sampled_from(["1.1234567", "1e3", "..", "1.", "-", "one", "1:2"])
+
+
+def _ts_text(tick, noisy):
+    plain = st.sampled_from([str(tick), f"+{tick}", f"0{tick}", f"{tick}.0", f"{tick}.000000"])
+    if not noisy:
+        return plain
+    return st.one_of(plain, st.sampled_from([chr(0x660 + tick), chr(0xFF10 + tick)]), _bad_ts)
+
+
+@st.composite
+def _atom_text(draw, noisy):
+    names = st.one_of(_good_names, _bad_names) if noisy else _good_names
+    pads = st.one_of(_good_pads, _bad_pads) if noisy else _good_pads
+    arity = draw(st.integers(min_value=0, max_value=3) if noisy
+                 else st.integers(min_value=1, max_value=2))
+    inner = ",".join(draw(pads) + draw(names) + draw(pads) for _ in range(arity))
+    tail = draw(st.sampled_from([""] * 16 + [")", " x", ",", " B(a)"]))
+    return f"{draw(names)}({inner}){tail}"
+
+
+@st.composite
+def _line(draw, tick):
+    kind = draw(st.sampled_from(["good"] * 6 + ["noisy", "comment", "blank", "bare"]))
+    noisy = kind == "noisy"
+    pads = _good_pads if kind == "good" else st.one_of(_good_pads, _bad_pads)
+    if kind == "comment":
+        return draw(pads) + "# " + draw(_atom_text(noisy))
+    if kind == "blank":
+        return draw(pads)
+    if kind == "bare":
+        return draw(pads) + draw(st.one_of(_ts_text(tick, noisy), _atom_text(noisy)))
+    seps = st.sampled_from([" ", "\t", " \t", "\u3000", "\xa0", ""] if noisy else [" ", "\t"])
+    comment = draw(st.sampled_from(["", "", " # note", "#", "\t# 1 A(a)"]))
+    return (draw(pads) + draw(_ts_text(tick, noisy)) + draw(seps) + draw(_atom_text(noisy))
+            + draw(pads) + comment)
+
+
+@st.composite
+def _stream_texts(draw):
+    """Lines whose ticks mostly stay or step forward, and now and then go
+    back one, each ended by LF or CRLF."""
+    tick, text = 0, ""
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        tick = min(4, max(0, tick + draw(st.sampled_from([0, 0, 1, 1, 2, -1]))))
+        text += draw(_line(tick)) + draw(st.sampled_from(["\n", "\r\n"]))
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(_stream_texts())
+@example("1 A(a)\r\n1\tR( a , b )  # c\r\n\u0662 B(a)\n3\u3000C(a)\n2 A(a)\n")
+@example("0 A(a)\n1 A(a,b,c)\n")
+@example("0 A(a)\n\n 1.1234567 A(a)\n")
+def test_parse_stream_agrees_with_a_line_by_line_reference(text):
+    # The one-pattern path for well-formed lines must give the boxes, or
+    # the error with its message and line, that the general path gives.
+    assert _outcome(text) == _reference_parse(text)
 
 
 # -- windows -----------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import example, given, settings
@@ -111,6 +112,28 @@ def test_failed_add_leaves_the_model_as_it_was():
     assert wm.entry_timestamps == [ts(1)]
     assert not wm.entails(catom("A", "a")) and not wm.entails(catom("D", "a"))
     assert wm.asserted_occurrences() == {occ(catom("B", "a"), 1)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_a_failed_add_raises_the_first_clash_of_the_whole_closure(seed):
+    # add_abox stops its rounds at the first that records a clash; that
+    # clash must be the first one the full closure records.
+    tbox = random_tbox(seed, n_concepts=4, n_roles=2, n_axioms=6, n_negative=2,
+                       acyclic=False)
+    stream = random_stream(seed + 1, n_ticks=5, atoms_per_tick=3,
+                           n_individuals=2, n_concepts=4, n_roles=2)
+    wm = WindowModel(ext(0, 4))
+    for b in stream:
+        full = wm.copy()
+        with full._atomic():
+            clashes = full._ingest([b], tbox)
+        try:
+            wm.add_abox(b, tbox)
+        except UnexpectedInconsistency as e:
+            assert clashes and (e.axiom, e.binding) == clashes[0]
+        else:
+            assert not clashes
 
 
 def test_failed_slide_undoes_expiry_and_earlier_ticks():
@@ -388,6 +411,82 @@ def test_nested_slide_reports_only_its_own_atoms(worked_tbox, worked_stream):
     assert got == want
     assert want[0] == {catom(n, "a") for n in "ABCDE"}
     assert catom("C", "a") not in want[1]
+
+
+# -- batched slides ------------------------------------------------------------
+
+def test_a_multi_tick_slide_runs_one_fixpoint(worked_tbox, worked_stream, monkeypatch):
+    # A slide that opens its own transaction ingests its fresh ticks
+    # together; inside an enclosing one it ingests them tick by tick.
+    seeds = []
+    fixpoint = WindowModel._fixpoint
+
+    def logged(model, tbox, delta, **kwargs):
+        seeds.append(delta.size())
+        return fixpoint(model, tbox, delta, **kwargs)
+
+    monkeypatch.setattr(WindowModel, "_fixpoint", logged)
+    WindowModel(ext(0, 4)).slide(worked_stream, ext(0, 4), worked_tbox)
+    assert seeds == [5]
+    seeds.clear()
+    wm = WindowModel(ext(0, 4))
+    with wm._atomic():
+        wm.slide(worked_stream, ext(0, 4), worked_tbox)
+    assert seeds == [2, 1, 1, 1]
+
+
+def _slide_outcome(wm, stream, extent, tbox, nested):
+    """The report of a slide, made inside an open transaction when nested,
+    or the text of the UnexpectedInconsistency it raised."""
+    try:
+        with wm._atomic() if nested else nullcontext():
+            return wm.slide(stream, extent, tbox)
+    except UnexpectedInconsistency as e:
+        return str(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000),
+       st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4))
+@example(9, [2, 3])
+def test_batched_slides_equal_tick_by_tick_slides(seed, steps):
+    # The referee slides inside an open transaction, so it ingests each
+    # fresh tick with add_abox. Some TBoxes clash: both must then raise the
+    # same error and keep the last window, and the run slides on from it.
+    tbox = random_tbox(seed, n_concepts=4, n_roles=2, n_axioms=6, n_negative=1,
+                       acyclic=False)
+    stream = random_stream(seed + 1, n_ticks=14, atoms_per_tick=3,
+                           n_individuals=3, n_concepts=4, n_roles=2)
+    batched, ticked = WindowModel(ext(-1, 3)), WindowModel(ext(-1, 3))
+    end = 3
+    for step in [0, *steps]:
+        end += step
+        extent = ext(end - 4, end)
+        before = batched.copy()
+        got = _slide_outcome(batched, stream, extent, tbox, nested=False)
+        assert got == _slide_outcome(ticked, stream, extent, tbox, nested=True)
+        if isinstance(got, str):
+            assert vars(batched) == vars(before)
+        assert batched._index == ticked._index
+        assert batched._ticks == ticked._ticks
+        assert batched.extent == ticked.extent
+
+
+def test_a_clashing_batch_raises_the_tick_by_tick_error():
+    # Tick 1 clashes at z, tick 2 at a. One fixpoint over both ticks meets
+    # a first, by binding order; the slide must still name z and change
+    # nothing.
+    tbox = parse_tbox("A & B < bot")
+    stream = [box(1, catom("A", "z"), catom("B", "z")), box(2, catom("A", "a"), catom("B", "a"))]
+    probe = WindowModel(ext(1, 2))
+    with probe._atomic():
+        assert [x for _, x in probe._ingest(stream, tbox)] == ["a", "z"]
+    wm = WindowModel(ext(1, 2))
+    before = wm.copy()
+    with pytest.raises(UnexpectedInconsistency) as e:
+        wm.slide(stream, ext(1, 2), tbox)
+    assert str(e.value) == "negative inclusion violated by 'z'"
+    assert vars(wm) == vars(before)
 
 
 # -- home timestamps ---------------------------------------------------------
