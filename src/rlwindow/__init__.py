@@ -7,10 +7,10 @@ from .errors import (BudgetExceeded, CapExceeded, EngineError, OutOfOrder,
 from .interpretation import (Inconsistent, Interpretation, canonical_model,
                              direct_sum, eval_concept, eval_role, satisfies,
                              standard_interpretation)
-from .ontology import (ConceptInclusion, ConceptName, Conj, Exact, Exists,
+from .ontology import (ConceptInclusion, ConceptName, Conj, Exists,
                        NegativeInclusion, NormalizedTBox, RoleInclusion,
-                       RoleInverse, RoleName, TBox, Truncated, canonicalize,
-                       format_axiom, format_concept, format_tbox, parse_tbox,
+                       RoleInverse, RoleName, TBox, canonicalize, format_axiom,
+                       format_concept, format_tbox, parse_tbox,
                        unfold_negative_inclusions)
 from .oracle import (OracleVerdict, cross_check, definitional_window_repair,
                      maximal_consistent_subsets, naive_window_materialization,
@@ -27,10 +27,10 @@ __all__ = [
     "ParseError", "RLViolation", "StaleTimestamp", "UnexpectedInconsistency",
     "Inconsistent", "Interpretation", "canonical_model", "direct_sum",
     "eval_concept", "eval_role", "satisfies", "standard_interpretation",
-    "ConceptInclusion", "ConceptName", "Conj", "Exact", "Exists",
-    "NegativeInclusion", "NormalizedTBox", "RoleInclusion", "RoleInverse",
-    "RoleName", "TBox", "Truncated", "canonicalize", "format_axiom",
-    "format_concept", "format_tbox", "parse_tbox",
+    "ConceptInclusion", "ConceptName", "Conj", "Exists", "NegativeInclusion",
+    "NormalizedTBox", "RoleInclusion", "RoleInverse", "RoleName", "TBox",
+    "canonicalize", "format_axiom", "format_concept", "format_tbox",
+    "parse_tbox",
     "unfold_negative_inclusions", "OracleVerdict", "cross_check",
     "definitional_window_repair", "maximal_consistent_subsets",
     "naive_window_materialization", "preferred_repairs", "ConflictSet",

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import BudgetExceeded, ParseError, RLViolation
 
@@ -355,40 +354,13 @@ def format_tbox(tbox):
 
 
 @dataclass(frozen=True)
-class Exact:
-    """The rewrite of a negative inclusion closed within the depth budget."""
-
-
-@dataclass(frozen=True)
-class Truncated:
-    """The rewrite still produced new bodies at its last allowed depth."""
-
-    depth: int
-
-
-@dataclass(frozen=True)
-class UnfoldedNegative:
-    source: NegativeInclusion
-    bodies: tuple[ConceptExpr, ...]
-    status: Exact | Truncated
-
-
-@dataclass(frozen=True)
 class NormalizedTBox:
-    entries: tuple[UnfoldedNegative, ...]
+    """Every rewritten body of every negative inclusion, once each, in
+    canonical order, and whether each inclusion's rewrite closed within the
+    depth budget."""
 
-    @cached_property
-    def flattened_negatives(self):
-        """Every rewritten body of every entry, once each, in canonical order."""
-        bodies = dict.fromkeys(b for e in self.entries for b in e.bodies)
-        return tuple(sorted(bodies, key=struct_key))
-
-    @property
-    def is_exact(self):
-        return all(isinstance(e.status, Exact) for e in self.entries)
-
-    def statuses(self):
-        return [(e.source, e.status) for e in self.entries]
+    flattened_negatives: tuple[ConceptExpr, ...]
+    is_exact: bool
 
 
 def _single_substitutions(expr, tbox):
@@ -438,40 +410,33 @@ def unfold_negative_inclusions(tbox, max_depth, body_cap=10_000):
     defined role name (the superrole of some role inclusion) is repeatedly
     replaced by its defining bodies (tbox.bodies and tbox.subroles), keeping
     the unreplaced form as well since the name may also be asserted directly.
-    When a substitution pass adds nothing new the set is closed and the
-    status is Exact; if max_depth passes still produce new bodies the result
-    is Truncated and deeper derivations can escape detection. More than
-    body_cap bodies for one inclusion raises BudgetExceeded, as soon as a
-    kept pass reaches that many.
+    When a substitution pass adds nothing new the set is closed; if max_depth
+    passes still produce new bodies for some inclusion the result is not
+    exact and deeper derivations can escape detection. More than body_cap
+    bodies for one inclusion raises BudgetExceeded, as soon as a kept pass
+    reaches that many.
     """
-    entries = []
+    found = {}
+    is_exact = True
     for neg in tbox.negative_inclusions:
         bodies = [canonicalize(neg.body)]
         known = set(bodies)
         frontier = list(bodies)
-        rounds = 0
-        while True:
+        for rounds in range(max_depth + 1):
             # The pass after max_depth is only a peek for one new body, and
             # is discarded.
             peek = rounds == max_depth
             fresh = _substitution_pass(frontier, known, tbox,
                                        1 if peek else body_cap + 1 - len(bodies))
             if not fresh:
-                status = Exact()
                 break
             if peek:
-                status = Truncated(max_depth)
+                is_exact = False
                 break
-            rounds += 1
             bodies.extend(fresh)
             frontier = fresh
             if len(bodies) > body_cap:
                 raise BudgetExceeded(
                     f"negative inclusion rewrite exceeded {body_cap} bodies")
-        entries.append(UnfoldedNegative(
-            source=neg,
-            bodies=tuple(sorted(bodies, key=struct_key)),
-            status=status,
-        ))
-    return NormalizedTBox(entries=tuple(entries))
-
+        found.update(dict.fromkeys(bodies))
+    return NormalizedTBox(tuple(sorted(found, key=struct_key)), is_exact)

@@ -369,11 +369,6 @@ class WindowModel:
     def _roles(self):
         return self._index.roles
 
-    @property
-    def entry_timestamps(self):
-        """The loaded ticks, oldest first."""
-        return list(self._ticks)
-
     # -- occurrence bookkeeping ------------------------------------------
 
     def homes(self, atom):
@@ -448,21 +443,6 @@ class WindowModel:
         concepts = {n: set(by_ind) for n, by_ind in self._concepts.items()}
         roles = {n: set(by_pair) for n, by_pair in self._roles.items()}
         return Interpretation(concepts, roles)
-
-    def entry_interpretation(self, ts):
-        concepts, roles = {}, {}
-        for atom in self._index.by_home.get(ts, ()):
-            if isinstance(atom, ConceptAtom):
-                concepts.setdefault(atom.concept, set()).add(atom.individual)
-            else:
-                roles.setdefault(atom.role, set()).add((atom.subject, atom.obj))
-        return Interpretation(concepts, roles)
-
-    def entries(self):
-        return [(t, self.entry_interpretation(t)) for t in self._ticks]
-
-    def entails(self, atom):
-        return bool(self.homes(atom))
 
     def copy(self):
         dup = WindowModel(self.extent)

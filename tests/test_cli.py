@@ -363,6 +363,16 @@ def test_run_when_the_horizon_precedes_the_origin(files):
     assert out.getvalue() == ""
 
 
+def test_run_refuses_an_unknown_emit_mode(files):
+    tbox, stream = files(WORKED_TBOX, WORKED_STREAM)
+    config = cli.RunConfig(tbox_path=tbox, stream_path=stream,
+                           width=ts(2), slide=ts(1), origin=ts(2), emit="windows")
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(config, out=out, err=err) == 4
+    assert out.getvalue() == ""
+    assert err.getvalue() == "error: emit must be 'window' or 'diff', not 'windows'\n"
+
+
 # -- bench ----------------------------------------------------------------------------
 
 def test_bench_csv_shape(capsys):
@@ -377,6 +387,26 @@ def test_bench_csv_shape(capsys):
     for row in lines[1:-1]:
         end, incr, scratch = row.split(",")
         assert int(incr) >= 1 and int(scratch) >= 1
+
+
+def test_bench_counts_a_wrong_home_as_a_mismatch(monkeypatch):
+    # One extra home on an atom the incremental window holds leaves its
+    # atoms as they were, so only a comparison of homes sees it.
+    class OneWrongHome(WindowModel):
+        planted = False
+
+        def slide(self, *args, **kwargs):
+            report = super().slide(*args, **kwargs)
+            if not OneWrongHome.planted:
+                OneWrongHome.planted = True
+                atom, home = next((o.atom, t) for o in self.occurrences()
+                                  for t in self._ticks if t not in self.homes(o.atom))
+                self._index.add(atom, home)
+            return report
+
+    monkeypatch.setattr(cli, "WindowModel", OneWrongHome)
+    assert cli.bench(7, timestamps=40, atoms_per_tick=5).mismatches >= 1
+    assert OneWrongHome.planted
 
 
 def test_bench_workload_is_deterministic(capsys):

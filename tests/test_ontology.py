@@ -3,11 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlwindow.errors import BudgetExceeded, ParseError, RLViolation
-from rlwindow.ontology import (ConceptInclusion, ConceptName, Conj, Exact,
-                               Exists, NegativeInclusion, RoleInclusion,
-                               RoleInverse, RoleName, TBox, Truncated,
-                               canonicalize, format_axiom, format_tbox,
-                               parse_tbox, unfold_negative_inclusions)
+from rlwindow.ontology import (ConceptInclusion, ConceptName, Conj, Exists,
+                               NegativeInclusion, RoleInclusion, RoleInverse,
+                               RoleName, TBox, canonicalize, format_axiom,
+                               format_tbox, parse_tbox, unfold_negative_inclusions)
 from rlwindow.synth import random_tbox
 
 
@@ -160,12 +159,18 @@ def test_unfold_through_one_definition():
         canonicalize(conj(C("D"), C("F"))),
         canonicalize(conj(C("A"), C("C"), C("F"))),
     }
+    # Through a chain of two definitions the rewrite closes at depth 2.
+    chain = parse_tbox("A & C < D\nB & D < E\nE & F < bot")
+    assert not unfold_negative_inclusions(chain, 1).is_exact
+    assert unfold_negative_inclusions(chain, 2).is_exact
+    assert unfold_negative_inclusions(chain, 4).is_exact
 
 
 def test_unfold_nothing_to_do():
     ntbox = unfold_negative_inclusions(parse_tbox("A & B < bot"), 0)
     assert ntbox.is_exact
     assert ntbox.flattened_negatives == (canonicalize(conj(C("A"), C("B"))),)
+    assert unfold_negative_inclusions(parse_tbox("A & C < bot"), 3).is_exact
 
 
 def test_unfold_recursive_truncates():
@@ -179,8 +184,11 @@ def test_unfold_recursive_truncates():
         conj(C("A"), Exists(r, Exists(r, Exists(r, C("B"))))),
     }
     assert set(ntbox.flattened_negatives) == {canonicalize(e) for e in expected}
-    assert ntbox.entries[0].status == Truncated(3)
     assert not ntbox.is_exact
+    assert not unfold_negative_inclusions(tbox, 5).is_exact
+    # One truncated inclusion makes the whole rewrite inexact.
+    mixed = parse_tbox("some R . B < B\nA & B < bot\nC & D < bot")
+    assert not unfold_negative_inclusions(mixed, 3).is_exact
 
 
 def test_unfold_role_definitions():
@@ -216,17 +224,6 @@ def test_unfold_multiple_definitions_multiply():
     }
 
 
-def test_nonrecursive_report_statuses():
-    assert unfold_negative_inclusions(parse_tbox("A & C < bot"), 3).statuses() == [
-        (NegativeInclusion(canonicalize(conj(C("A"), C("C")))), Exact()),
-    ]
-    ntbox = unfold_negative_inclusions(parse_tbox("some R . B < B\nA & B < bot"), 5)
-    assert ntbox.statuses()[0][1] == Truncated(5)
-    ntbox = unfold_negative_inclusions(
-        parse_tbox("A & C < D\nB & D < E\nE & F < bot"), 4)
-    assert ntbox.statuses()[0][1] == Exact()
-
-
 def test_unfold_budget():
     # Eight independent two-way choices multiply out well past a tiny cap.
     lines = [f"X{i} < Y{i}\nZ{i} < Y{i}" for i in range(8)]
@@ -250,11 +247,11 @@ def test_unfold_deterministic():
     a = unfold_negative_inclusions(tbox, 3)
     b = unfold_negative_inclusions(tbox, 3)
     assert a.flattened_negatives == b.flattened_negatives
-    assert a.statuses() == b.statuses()
+    assert a.is_exact and b.is_exact
 
 
 def test_flattened_negatives_are_built_once():
-    # A & C is a body of both entries, and is listed once.
+    # A & C is a body of both inclusions, and is listed once.
     ntbox = unfold_negative_inclusions(parse_tbox("A < B\nB & C < bot\nA & C < bot"), 1)
     bodies = ntbox.flattened_negatives
     assert bodies is ntbox.flattened_negatives

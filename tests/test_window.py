@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import atoms_of, box, build_window, catom, ext, occ, ts
 from rlwindow.errors import EngineError, StaleTimestamp, UnexpectedInconsistency
 from rlwindow.interpretation import (canonical_model, direct_sum, eval_concept,
-                                     eval_role, satisfies)
+                                     eval_role, satisfies, standard_interpretation)
 from rlwindow.oracle import naive_window_materialization
 from rlwindow.ontology import parse_tbox
 from rlwindow.repair import add_abox_with_repair
@@ -45,13 +45,13 @@ def test_slide_rehomes_via_newer_support(worked_tbox, worked_stream):
     assert atoms_of(wm.window_interpretation()) == {catom(n, "a") for n in "ABCDE"}
 
 
-def test_entails_tracks_drops(worked_tbox, worked_stream):
+def test_homes_track_drops(worked_tbox, worked_stream):
     wm = build_window(ext(1, 2), worked_stream, worked_tbox)
-    assert wm.entails(catom("E", "a"))
+    assert wm.homes(catom("E", "a"))
     wm2 = build_window(ext(1, 3), worked_stream, worked_tbox)
     wm2.drop_before(ts(2))
-    assert not wm2.entails(catom("E", "a"))
-    assert not wm2.entails(catom("Unseen", "a"))
+    assert not wm2.homes(catom("E", "a"))
+    assert not wm2.homes(catom("Unseen", "a"))
 
 
 def test_attributed_atoms_flag_origin(worked_tbox, worked_stream):
@@ -77,8 +77,8 @@ def test_add_empty_abox_keeps_interpretation(worked_tbox, worked_stream):
     wm2 = build_window(ext(1, 5), worked_stream, worked_tbox)
     wm2.add_abox(box(5), worked_tbox)
     assert wm2.window_interpretation() == before
-    assert ts(5) in wm2.entry_timestamps
-    assert wm2.entry_interpretation(ts(5)).is_empty
+    assert ts(5) in wm2._ticks
+    assert standard_interpretation(wm2._index.by_home.get(ts(5), ())).is_empty
 
 
 def test_add_rejects_stale_and_outside_timestamps(worked_tbox):
@@ -109,8 +109,8 @@ def test_failed_add_leaves_the_model_as_it_was():
     with pytest.raises(UnexpectedInconsistency):
         wm.add_abox(box(2, catom("A", "a"), catom("C", "a")), tbox)
     assert vars(wm) == vars(before)
-    assert wm.entry_timestamps == [ts(1)]
-    assert not wm.entails(catom("A", "a")) and not wm.entails(catom("D", "a"))
+    assert list(wm._ticks) == [ts(1)]
+    assert not wm.homes(catom("A", "a")) and not wm.homes(catom("D", "a"))
     assert wm.asserted_occurrences() == {occ(catom("B", "a"), 1)}
 
 
@@ -181,10 +181,10 @@ def test_same_round_derivations_share_the_tick():
 def test_drop_keeps_newer_entries(worked_tbox, worked_stream):
     wm = build_window(ext(1, 3), worked_stream, worked_tbox)
     wm.drop_before(ts(2))
-    assert wm.entry_timestamps == [ts(2), ts(3)]
-    assert atoms_of(wm.entry_interpretation(ts(2))) == {catom("C", "a"), catom("D", "a")}
-    assert atoms_of(wm.entry_interpretation(ts(3))) == {catom("A", "a")}
-    assert not wm.entails(catom("E", "a"))
+    assert list(wm._ticks) == [ts(2), ts(3)]
+    assert wm._index.by_home[ts(2)] == {catom("C", "a"), catom("D", "a")}
+    assert wm._index.by_home[ts(3)] == {catom("A", "a")}
+    assert not wm.homes(catom("E", "a"))
 
 
 def test_drop_noop_and_full(worked_tbox, worked_stream):
@@ -194,7 +194,7 @@ def test_drop_noop_and_full(worked_tbox, worked_stream):
     assert atoms_of(wm.window_interpretation()) == snapshot
     wm.drop_before(ts(99))
     assert wm.window_interpretation().is_empty
-    assert wm.entry_timestamps == []
+    assert list(wm._ticks) == []
 
 
 def test_a_raising_expiry_changes_nothing(worked_tbox, worked_stream, monkeypatch):
@@ -233,7 +233,8 @@ def test_drop_equals_from_scratch(worked_tbox, worked_stream):
 
 def test_window_interpretation_is_entry_sum(worked_tbox, worked_stream):
     wm = build_window(ext(1, 4), worked_stream, worked_tbox)
-    summed = direct_sum(*(i for _, i in wm.entries()))
+    summed = direct_sum(*(standard_interpretation(wm._index.by_home.get(t, ()))
+                          for t in wm._ticks))
     assert summed == wm.window_interpretation()
 
 
@@ -298,7 +299,7 @@ def test_slide_reads_only_the_fresh_boxes():
     for end, fresh in ((500, 10), (501, 1), (503, 2), (2000, 10), (2003, 3), (3500, 10)):
         stream.reads.clear()
         report = wm.slide(stream, ext(end - 9, end), tbox)
-        assert wm.entry_timestamps == [ts(t) for t in range(end - 9, end + 1)]
+        assert list(wm._ticks) == [ts(t) for t in range(end - 9, end + 1)]
         assert report.added_occurrences == 2 * fresh
         assert len(stream.reads) <= 2 * n.bit_length() + fresh + 1
 
@@ -324,7 +325,7 @@ def test_one_tick_slide_discards_only_the_expired_bucket(monkeypatch):
         assert report.expired_occurrences == 2
         assert [index for index, _ in discarded] == [wm._index] * report.expired_occurrences
         assert {t for _, t in discarded} == {ts(end - n)}
-        assert wm.entry_timestamps[0] == ts(end - n + 1)
+        assert next(iter(wm._ticks)) == ts(end - n + 1)
 
 
 
