@@ -87,13 +87,16 @@ def run(config, out=None, err=None):
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     try:
-        with open(config.tbox_path) as f:
+        with open(config.tbox_path, encoding="utf-8") as f:
             tbox_text = f.read()
-        with open(config.stream_path) as f:
+        with open(config.stream_path, encoding="utf-8") as f:
             stream_text = f.read()
     except OSError as e:
         print(f"error: {e}", file=err)
         return EXIT_IO
+    except UnicodeDecodeError as e:
+        print(f"parse error: {f.name}: {e}", file=err)
+        return EXIT_PARSE
     try:
         tbox = parse_tbox(tbox_text)
         stream = parse_stream(stream_text)

@@ -29,7 +29,7 @@ from functools import cached_property, reduce
 
 from .errors import UnexpectedInconsistency
 from .stream import ConceptAtom, Occurrence
-from .window import OccurrenceIndex, _Probe, _role_atom
+from .window import _Probe, _role_atom
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ def find_conflicts(wm, incoming, tbox, bindings):
     minimally inconsistent sets of asserted occurrences with an incoming
     one."""
     roots = sorted(bindings)
-    probe = _Instantiations(wm._index, None)
+    probe = _Instantiations(wm._index, ())
     negatives = [(ax.body, x, probe.at(ax.body, x))
                  for ax in tbox.negative_inclusions for x in roots]
     order, cyclic = _dependency_order(
@@ -217,11 +217,9 @@ def apply_repair(wm, removed, tbox):
         for occ in marked:
             wm._discard(occ.atom, occ.timestamp)
         restored = _backward_check(wm, marked, tbox)
-        seed = OccurrenceIndex()
         for atom, h in restored:
             wm._insert(atom, h)
-            seed.add(atom, h)
-        rederived = len(restored) + wm._fixpoint(tbox, seed)[0]
+        rederived = len(restored) + wm._fixpoint(tbox, restored)[0]
     return len(marked), rederived
 
 
@@ -230,7 +228,7 @@ def _backward_check(wm, marked, tbox):
     the window's index: (atom, h) where h is an achievable home of one of
     atom's derivations. The index is only read, so one probe serves them
     all."""
-    probe = _Probe(wm._index, OccurrenceIndex())
+    probe = _Probe(wm._index, ())
     return [occ for occ in marked if occ.timestamp in probe.derivations(occ.atom, tbox)]
 
 
@@ -240,7 +238,7 @@ def _overdelete(wm, removed, tbox):
     marked = set(removed)
     frontier = removed
     while frontier:
-        probe = _Probe(wm._index, OccurrenceIndex(frontier))
+        probe = _Probe(wm._index, frontier)
         fresh = []
         for atom, homes in probe.consequences(tbox):
             have = wm.homes(atom)
@@ -267,7 +265,7 @@ def add_abox_with_repair(wm, abox, tbox, ntbox=None):
         conflicts = find_conflicts(wm, abox, tbox, {x for _, x in clashes})
         removed = resolve_conflicts(conflicts)
         overdeleted, rederived = apply_repair(wm, removed, tbox)
-        probe = _Probe(wm._index, OccurrenceIndex())
+        probe = _Probe(wm._index, ())
         for ax, x in clashes:
             if probe.at(ax.body, x):
                 raise UnexpectedInconsistency(ax, x)

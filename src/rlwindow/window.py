@@ -1,8 +1,9 @@
 """Incremental materialization over a sliding window of momentary ABoxes.
 
 State is one index at occurrence granularity, where every atom in the window
-carries the set of timestamps it is homed at, and the window's ticks, each
-with the asserted atoms that survive at it and are homed there. Each public
+carries the set of timestamps it is homed at (a role pair's one home set is
+reached from either end of the pair), and the window's ticks, each with the
+asserted atoms that survive at it and are homed there. Each public
 mutation is one transaction: its index changes go to one journal, which
 undoes them when it raises and from which a slide reads its report. A
 derived atom is added at the minimum timestamp over the occurrences
@@ -16,13 +17,15 @@ journaled removal as retraction, and costs what it removes.
 
 Adding a momentary ABox runs a semi-naive fixpoint: each round only considers
 rule-body instantiations that use at least one occurrence added in the
-previous round, probing the rest of the body against the full index. That
-round is _Probe, the engine's one rule-body evaluator, annotated with homes
-here and with instantiations, the atoms of each way to match a body, in
-conflict enumeration (repair._Instantiations). Each round also records
-where it instantiates a negative inclusion: add_abox raises for the first
-such clash, and repair enumerates conflicts at their bindings only. Without
-repair, a slide seeds one fixpoint with all of its fresh ticks.
+previous round, probing the rest of the body against the full index. A
+round's delta is the plain list of (atom, timestamp) pairs the previous
+round inserted. The round is _Probe, the engine's one rule-body evaluator,
+annotated with homes here and with instantiations, the atoms of each way to
+match a body, in conflict enumeration (repair._Instantiations). Each round
+also records where it instantiates a negative inclusion: add_abox raises
+for the first such clash, and repair enumerates conflicts at their bindings
+only. Without repair, a slide seeds one fixpoint with all of its fresh
+ticks.
 """
 
 from __future__ import annotations
@@ -99,34 +102,35 @@ def _merge(out, key, ann):
 
 
 class OccurrenceIndex:
-    """Home timestamps per concept and role atom, with role adjacency both
-    ways, and the atoms homed at each timestamp.
+    """Home timestamps per concept atom and per role pair, and the atoms
+    homed at each timestamp.
 
-    The engine's one index shape: a window's occurrences and the delta of a
-    semi-naive round are each held in one. add and discard are the only
-    writers, so the by-home buckets always invert the home tables, and
-    discard is the only removal. Emptied entries and buckets are removed, so
-    equal contents compare equal.
+    concepts[A][x] is the home set of A(x). A role pair's home set is
+    reachable both ways, as fwd[r][s][o] and rev[r][o][s], which are one set
+    object, so a probe reads a pair's neighbours and homes with one lookup
+    from either end. by_home buckets the atoms homed at each timestamp.
+    add and discard are the only writers, so the buckets always invert the
+    home sets, and discard is the only removal. Emptied entries and buckets
+    are removed, so equal contents compare equal.
     """
 
     def __init__(self, occurrences=()):
         self.concepts: dict[str, dict[str, set[Timestamp]]] = {}
-        self.roles: dict[str, dict[tuple[str, str], set[Timestamp]]] = {}
-        self.fwd: dict[str, dict[str, set[str]]] = {}
-        self.rev: dict[str, dict[str, set[str]]] = {}
+        self.fwd: dict[str, dict[str, dict[str, set[Timestamp]]]] = {}
+        self.rev: dict[str, dict[str, dict[str, set[Timestamp]]]] = {}
         self.by_home: dict[Timestamp, set[Atom]] = {}
-        for occ in occurrences:
-            self.add(occ.atom, occ.timestamp)
+        for atom, ts in occurrences:
+            self.add(atom, ts)
 
     def __eq__(self, other):
         return (isinstance(other, OccurrenceIndex)
-                and (self.concepts, self.roles, self.fwd, self.rev, self.by_home)
-                == (other.concepts, other.roles, other.fwd, other.rev, other.by_home))
+                and (self.concepts, self.fwd, self.rev, self.by_home)
+                == (other.concepts, other.fwd, other.rev, other.by_home))
 
     def homes(self, atom):
         if isinstance(atom, ConceptAtom):
             return self.concepts.get(atom.concept, {}).get(atom.individual, set())
-        return self.roles.get(atom.role, {}).get((atom.subject, atom.obj), set())
+        return self.fwd.get(atom.role, {}).get(atom.subject, {}).get(atom.obj, set())
 
     def add(self, atom, ts):
         """Insert one occurrence; True when it was not there yet."""
@@ -134,11 +138,11 @@ class OccurrenceIndex:
             homes = self.concepts.setdefault(atom.concept, {}).setdefault(
                 atom.individual, set())
         else:
-            homes = self.roles.setdefault(atom.role, {}).setdefault(
-                (atom.subject, atom.obj), set())
-            if not homes:
-                self.fwd.setdefault(atom.role, {}).setdefault(atom.subject, set()).add(atom.obj)
-                self.rev.setdefault(atom.role, {}).setdefault(atom.obj, set()).add(atom.subject)
+            by_obj = self.fwd.setdefault(atom.role, {}).setdefault(atom.subject, {})
+            homes = by_obj.get(atom.obj)
+            if homes is None:
+                homes = by_obj[atom.obj] = set()
+                self.rev.setdefault(atom.role, {}).setdefault(atom.obj, {})[atom.subject] = homes
         if ts in homes:
             return False
         homes.add(ts)
@@ -150,12 +154,11 @@ class OccurrenceIndex:
 
     def discard(self, atom, ts):
         """Remove one occurrence; True when it was there."""
-        if isinstance(atom, ConceptAtom):
-            table, name, key = self.concepts, atom.concept, atom.individual
+        concept = isinstance(atom, ConceptAtom)
+        if concept:
+            homes = self.concepts.get(atom.concept, {}).get(atom.individual)
         else:
-            table, name, key = self.roles, atom.role, (atom.subject, atom.obj)
-        by_key = table.get(name, {})
-        homes = by_key.get(key)
+            homes = self.fwd.get(atom.role, {}).get(atom.subject, {}).get(atom.obj)
         if homes is None or ts not in homes:
             return False
         homes.discard(ts)
@@ -163,48 +166,39 @@ class OccurrenceIndex:
         bucket.discard(atom)
         if not bucket:
             del self.by_home[ts]
-        if not homes:
-            del by_key[key]
-            if table is self.roles:
-                self._unlink(name, *key)
-            if not by_key:
-                del table[name]
-        return True
-
-    def _unlink(self, name, s, o):
-        for adj, a, b in ((self.fwd, s, o), (self.rev, o, s)):
-            by_node = adj[name]
-            by_node[a].discard(b)
+        if homes:
+            return True
+        if concept:
+            by_ind = self.concepts[atom.concept]
+            del by_ind[atom.individual]
+            if not by_ind:
+                del self.concepts[atom.concept]
+            return True
+        for adj, a, b in ((self.fwd, atom.subject, atom.obj), (self.rev, atom.obj, atom.subject)):
+            by_node = adj[atom.role]
+            del by_node[a][b]
             if not by_node[a]:
                 del by_node[a]
                 if not by_node:
-                    del adj[name]
+                    del adj[atom.role]
+        return True
 
     def occurrences(self):
         return {Occurrence(atom, t) for t, atoms in self.by_home.items() for atom in atoms}
-
-    def size(self):
-        """Number of occurrences held."""
-        return sum(map(len, self.by_home.values()))
 
     def copy(self):
         return OccurrenceIndex(self.occurrences())
 
     def role_matches(self, rexpr):
         """(x, y, homes) for every pair of the index in the rexpr image."""
-        pairs = self.roles.get(rexpr.name, {}).items()
-        if isinstance(rexpr, RoleInverse):
-            return [(o, s, homes) for (s, o), homes in pairs]
-        return [(s, o, homes) for (s, o), homes in pairs]
+        adj = self.rev if isinstance(rexpr, RoleInverse) else self.fwd
+        return [(x, y, homes) for x, by_y in adj.get(rexpr.name, {}).items()
+                for y, homes in by_y.items()]
 
     def role_neighbors(self, rexpr, x):
         """(y, homes) for every pair putting x in the rexpr image."""
-        name = rexpr.name
-        if isinstance(rexpr, RoleName):
-            return [(o, self.roles[name][(x, o)])
-                    for o in self.fwd.get(name, {}).get(x, ())]
-        return [(s, self.roles[name][(s, x)])
-                for s in self.rev.get(name, {}).get(x, ())]
+        adj = self.fwd if isinstance(rexpr, RoleName) else self.rev
+        return adj.get(rexpr.name, {}).get(x, {}).items()
 
 
 def _role_atom(rexpr, x, y):
@@ -216,6 +210,9 @@ def _role_atom(rexpr, x, y):
 
 class _Probe:
     """One semi-naive round over an index that already holds the delta.
+
+    delta is an iterable of (atom, timestamp) pairs, which the probe indexes
+    for itself; a probe that never calls fresh passes ().
 
     at(expr, x) annotates the instantiations of expr at x over the whole
     index; fresh(expr) maps each x to the annotation of those that use a
@@ -237,7 +234,7 @@ class _Probe:
 
     def __init__(self, index, delta):
         self.index = index
-        self.delta = delta
+        self.delta = OccurrenceIndex(delta)
         self._at = {}
         self._fresh = {}
         self._derivations = {}
@@ -367,7 +364,9 @@ class WindowModel:
 
     @property
     def _roles(self):
-        return self._index.roles
+        return {name: {(s, o): homes for s, by_obj in by_subj.items()
+                       for o, homes in by_obj.items()}
+                for name, by_subj in self._index.fwd.items()}
 
     # -- occurrence bookkeeping ------------------------------------------
 
@@ -429,10 +428,10 @@ class WindowModel:
     def attributed_atoms(self):
         """Every atom of the window with its homes, in atom sort order."""
         rows = [(ConceptAtom(name, x), homes)
-                for name, by_ind in self._index.concepts.items()
+                for name, by_ind in self._concepts.items()
                 for x, homes in by_ind.items()]
         rows.extend((RoleAtom(name, *pair), homes)
-                    for name, by_pair in self._index.roles.items()
+                    for name, by_pair in self._roles.items()
                     for pair, homes in by_pair.items())
         rows.sort(key=itemgetter(0))
         return [AttributedAtom(atom, frozenset(homes),
@@ -453,8 +452,8 @@ class WindowModel:
     # -- reasoning ----------------------------------------------------------
 
     def _fixpoint(self, tbox, delta, first_clash=False):
-        """Close the index under the positive axioms, semi-naive from the
-        seed occurrences in the OccurrenceIndex delta, which the index must
+        """Close the index under the positive axioms, semi-naive from
+        delta, the seed (atom, timestamp) pairs, which the index must
         already hold. Each round also records the negative inclusions it
         instantiates with a fresh occurrence, as (axiom, binding) clashes in
         round, axiom and binding order. On an index without a clash before
@@ -464,7 +463,7 @@ class WindowModel:
         (occurrences inserted, clashes)."""
         inserted = 0
         clashes = []
-        while delta.size():
+        while delta:
             probe = _Probe(self._index, delta)
             for ax in tbox.negative_inclusions:
                 hit = probe.fresh(ax.body)
@@ -476,11 +475,8 @@ class WindowModel:
             for atom, homes in probe.consequences(tbox):
                 have = self._index.homes(atom)
                 additions.extend((atom, h) for h in homes if h not in have)
-            delta = OccurrenceIndex()
-            for atom, h in additions:
-                if self._insert(atom, h):
-                    delta.add(atom, h)
-            inserted += delta.size()
+            delta = [(atom, h) for atom, h in additions if self._insert(atom, h)]
+            inserted += len(delta)
         return inserted, clashes
 
     def _ingest(self, boxes, tbox, raise_clash=False):
@@ -491,7 +487,7 @@ class WindowModel:
         the clashes the fixpoint recorded, or with raise_clash raises
         UnexpectedInconsistency for the first: the first round, the first
         axiom in order, the smallest binding. Run inside an atomic block."""
-        seed = OccurrenceIndex()
+        seed = []
         for abox in boxes:
             ts, newest = abox.timestamp, next(reversed(self._ticks), None)
             if newest is not None and ts <= newest:
@@ -499,9 +495,7 @@ class WindowModel:
             if not self.extent.contains(ts):
                 raise StaleTimestamp(f"ABox at {ts} outside window {self.extent}")
             self._ticks[ts] = frozenset(abox.atoms)
-            for atom in abox.atoms:
-                if self._insert(atom, ts):
-                    seed.add(atom, ts)
+            seed.extend((atom, ts) for atom in abox.atoms if self._insert(atom, ts))
         clashes = self._fixpoint(tbox, seed, first_clash=raise_clash)[1]
         if clashes and raise_clash:
             raise UnexpectedInconsistency(*clashes[0])

@@ -8,7 +8,7 @@ from rlwindow.ontology import parse_tbox
 from rlwindow.repair import add_abox_with_repair
 from rlwindow.stream import (ConceptAtom, MomentaryABox, Occurrence, RoleAtom,
                              Timestamp, WindowExtent, parse_stream)
-from rlwindow.window import OccurrenceIndex, WindowModel
+from rlwindow.window import WindowModel
 
 
 def ts(value):
@@ -58,7 +58,7 @@ def provisional_model(current, incoming, tbox):
     with wm._atomic():
         for o in current:
             wm._insert(o.atom, o.timestamp)
-        wm._fixpoint(tbox, OccurrenceIndex(current))
+        wm._fixpoint(tbox, current)
         clashes = wm._ingest([incoming], tbox)
     return wm, {x for _, x in clashes}
 

@@ -268,6 +268,19 @@ def test_malformed_tbox_reports_parse_failure(files, capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("which", [0, 1], ids=["tbox", "stream"])
+def test_non_utf8_input_reports_parse_failure(files, capsys, which):
+    paths = files(WORKED_TBOX, WORKED_STREAM)
+    bad = paths[which]
+    with open(bad, "wb") as f:
+        f.write([b"A < B\n\xff\xfe < C\n", b"0 A(a)\n1 \xff\xfeB(a)\n"][which])
+    code, out, err = run_main(
+        ["--tbox", paths[0], "--stream", paths[1],
+         "--width", "2", "--slide", "1", "--origin", "2"], capsys)
+    assert (code, out) == (4, "")
+    assert err.startswith(f"parse error: {bad}: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_slide_wider_than_width_is_rejected(files, capsys):
     code, _, err = run_main(worked_argv(files)[:-6] + [
         "--width", "1", "--slide", "2", "--origin", "2"], capsys)

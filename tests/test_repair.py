@@ -176,7 +176,7 @@ def test_dependency_order_lists_each_derived_atom_after_its_dependencies(seed):
     with wm._atomic():
         for b in stream:
             wm._ingest([b], tbox)
-    probe = _Instantiations(wm._index, None)
+    probe = _Instantiations(wm._index, ())
     roots = {a.atom for a in wm.attributed_atoms()}
     order, cyclic = repair._dependency_order(probe, tbox, roots)
     assert not cyclic
@@ -192,13 +192,13 @@ def test_dependency_order_reports_a_cyclic_chain():
     tbox = parse_tbox("some r . A < A")
     wm = build_window(ext(0, 1), [box(0, catom("A", "x0"), ratom("r", "x0", "x1"),
                                        ratom("r", "x1", "x0"))], tbox)
-    probe = _Instantiations(wm._index, None)
+    probe = _Instantiations(wm._index, ())
     order, cyclic = repair._dependency_order(probe, tbox, {catom("A", "x1")})
     assert cyclic
     assert sorted(order) == [catom("A", "x0"), catom("A", "x1")]
     acyclic = parse_tbox("A < B\nsome r . B < C")
     wm = build_window(ext(0, 1), [box(0, catom("A", "x0"), ratom("r", "x1", "x0"))], acyclic)
-    probe = _Instantiations(wm._index, None)
+    probe = _Instantiations(wm._index, ())
     assert repair._dependency_order(probe, acyclic, {catom("C", "x1")}) == (
         [catom("B", "x0"), catom("C", "x1")], False)
 
@@ -216,7 +216,7 @@ def test_supports_and_homes_annotate_the_same_instantiations(seed):
     occs = [o for b in random_stream(seed + 1, n_ticks=4, atoms_per_tick=5)
             for o in b.occurrences()]
     index = OccurrenceIndex(occs)
-    probe, ways = _Probe(index, OccurrenceIndex()), _Instantiations(index, None)
+    probe, ways = _Probe(index, ()), _Instantiations(index, ())
     inds = {o.atom.individual for o in occs if isinstance(o.atom, ConceptAtom)}
     inds |= {i for o in occs if isinstance(o.atom, RoleAtom)
              for i in (o.atom.subject, o.atom.obj)}
@@ -571,7 +571,7 @@ def test_apply_repair_only_shrinks_and_counts_what_it_removes(seed):
 
     overdeleted, rederived = apply_repair(wm, removed, tbox)
     assert wm.occurrences() <= before.occurrences()
-    assert before._index.size() - wm._index.size() == overdeleted - rederived
+    assert len(before.occurrences()) - len(wm.occurrences()) == overdeleted - rederived
 
 
 def _brute_supports(expr, x, occs):
@@ -732,20 +732,18 @@ def test_raising_repair_operations_change_nothing(seed, data):
 
 
 def _assert_buckets_invert_homes(wm):
-    """The index's by-home buckets are the inverse of its home tables, its
-    size counts their occurrences, the ticks increase, and the index holds
-    every asserted occurrence."""
+    """The index's by-home buckets are the inverse of its home tables, the
+    ticks increase, and the index holds every asserted occurrence."""
     index, inverse = wm._index, {}
     for name, by_ind in index.concepts.items():
         for x, homes in by_ind.items():
             for t in homes:
                 inverse.setdefault(t, set()).add(ConceptAtom(name, x))
-    for name, by_pair in index.roles.items():
+    for name, by_pair in wm._roles.items():
         for pair, homes in by_pair.items():
             for t in homes:
                 inverse.setdefault(t, set()).add(RoleAtom(name, *pair))
     assert index.by_home == inverse
-    assert index.size() == len(index.occurrences())
     assert list(wm._ticks) == sorted(set(wm._ticks))
     assert wm.asserted_occurrences() <= wm.occurrences()
 
@@ -801,7 +799,7 @@ def _every_body_conflicts(current, incoming, ntbox):
     flattened body."""
     arriving = incoming.occurrences()
     index = OccurrenceIndex(current | arriving)
-    supports = _Singletons(index, OccurrenceIndex(arriving))
+    supports = _Singletons(index, arriving)
     found = {}
     for body in ntbox.flattened_negatives:
         by_binding = supports.fresh(body)

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import atoms_of, box, build_window, catom, ext, occ, ts
+from conftest import atoms_of, box, build_window, catom, ext, occ, ratom, ts
 from rlwindow.errors import EngineError, StaleTimestamp, UnexpectedInconsistency
 from rlwindow.interpretation import (canonical_model, direct_sum, eval_concept,
                                      eval_role, satisfies, standard_interpretation)
 from rlwindow.oracle import naive_window_materialization
-from rlwindow.ontology import parse_tbox
+from rlwindow.ontology import RoleInverse, RoleName, parse_tbox
 from rlwindow.repair import add_abox_with_repair
-from rlwindow.stream import Occurrence, Timestamp, WindowSpec, window_abox, window_extents
+from rlwindow.stream import (ConceptAtom, Occurrence, RoleAtom, Timestamp, WindowSpec,
+                             window_extents)
 from rlwindow.synth import random_stream, random_tbox
 from rlwindow.window import OccurrenceIndex, WindowModel, _minjoin
 
@@ -60,6 +61,58 @@ def test_attributed_atoms_flag_origin(worked_tbox, worked_stream):
     assert by_atom[catom("A", "a")].origin == "asserted"
     assert by_atom[catom("D", "a")].origin == "derived"
     assert by_atom[catom("A", "a")].asserted_at == frozenset({ts(1)})
+
+
+# -- the occurrence index -----------------------------------------------------
+
+_NODES = st.sampled_from("abc")
+_INDEX_ATOMS = st.one_of(st.builds(catom, st.sampled_from("AB"), _NODES),
+                         st.builds(ratom, st.sampled_from("rs"), _NODES, _NODES))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), _INDEX_ATOMS, st.integers(0, 3)), max_size=40))
+def test_index_agrees_with_a_plain_occurrence_set(calls):
+    # Interleaved adds and discards, each followed by a brute-force scan of
+    # a plain occurrence set for every reader of the index.
+    index, reference = OccurrenceIndex(), set()
+    for adding, atom, t in calls:
+        o = Occurrence(atom, ts(t))
+        if adding:
+            assert index.add(*o) == (o not in reference)
+            reference.add(o)
+        else:
+            assert index.discard(*o) == (o in reference)
+            reference.discard(o)
+        homes = {}
+        for a, h in reference:
+            homes.setdefault(a, set()).add(h)
+        for a in {a for _, a, _ in calls}:
+            assert index.homes(a) == homes.get(a, set())
+        for name in "rs":
+            pairs = {(a.subject, a.obj): h for a, h in homes.items()
+                     if isinstance(a, RoleAtom) and a.role == name}
+            for rexpr, image in ((RoleName(name), pairs),
+                                 (RoleInverse(name), {(o, s): h for (s, o), h in pairs.items()})):
+                matches = index.role_matches(rexpr)
+                assert len(matches) == len(image)
+                assert {(x, y): h for x, y, h in matches} == image
+                for x in "abc":
+                    assert dict(index.role_neighbors(rexpr, x)) == {
+                        y: h for (x2, y), h in image.items() if x2 == x}
+        inverse = {}
+        for name, by_ind in index.concepts.items():
+            for x, h in by_ind.items():
+                for t in h:
+                    inverse.setdefault(t, set()).add(ConceptAtom(name, x))
+        for name, by_subj in index.fwd.items():
+            for s, by_obj in by_subj.items():
+                for o, h in by_obj.items():
+                    assert h is index.rev[name][o][s]
+                    for t in h:
+                        inverse.setdefault(t, set()).add(RoleAtom(name, s, o))
+        assert index.by_home == inverse
+        assert index == OccurrenceIndex(reference)
 
 
 # -- add_abox ----------------------------------------------------------------
@@ -423,7 +476,7 @@ def test_a_multi_tick_slide_runs_one_fixpoint(worked_tbox, worked_stream, monkey
     fixpoint = WindowModel._fixpoint
 
     def logged(model, tbox, delta, **kwargs):
-        seeds.append(delta.size())
+        seeds.append(len(delta))
         return fixpoint(model, tbox, delta, **kwargs)
 
     monkeypatch.setattr(WindowModel, "_fixpoint", logged)
