@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ontology import (ConceptInclusion, ConceptName, Conj, Exists,
-                       NegativeInclusion, RoleInclusion, RoleInverse, RoleName)
+from .ontology import ConceptInclusion, ConceptName, Conj, NegativeInclusion, RoleInverse
 from .stream import Atom, ConceptAtom, RoleAtom
 
 

@@ -21,8 +21,6 @@ SUBSET_CAP = 16
 @dataclass
 class OracleVerdict:
     subject: WindowExtent
-    expected: object
-    actual: object
     match: bool
     diff: tuple[str, ...]
 
@@ -169,7 +167,6 @@ def cross_check(wm, stream, extent, tbox, ntbox=None):
     naive = canonical_model({o.atom for o in survivors}, tbox)
     diff = []
     if isinstance(naive, Inconsistent):
-        expected_atoms = None
         diff.append(f"surviving assertions are inconsistent: {naive.binding}")
     else:
         expected_atoms = frozenset(naive.atoms())
@@ -194,8 +191,6 @@ def cross_check(wm, stream, extent, tbox, ntbox=None):
 
     return OracleVerdict(
         subject=extent,
-        expected=(expected_atoms, expected_repair),
-        actual=(engine_atoms, survivors),
         match=not diff,
         diff=tuple(diff),
     )

@@ -25,7 +25,8 @@ match a body, in conflict enumeration (repair._Instantiations). Each round
 also records where it instantiates a negative inclusion: add_abox raises
 for the first such clash, and repair enumerates conflicts at their bindings
 only. Without repair, a slide seeds one fixpoint with all of its fresh
-ticks.
+ticks when the TBox has no negative inclusion, and adds them tick by tick
+when it has one.
 """
 
 from __future__ import annotations
@@ -451,16 +452,14 @@ class WindowModel:
 
     # -- reasoning ----------------------------------------------------------
 
-    def _fixpoint(self, tbox, delta, first_clash=False):
+    def _fixpoint(self, tbox, delta):
         """Close the index under the positive axioms, semi-naive from
         delta, the seed (atom, timestamp) pairs, which the index must
         already hold. Each round also records the negative inclusions it
         instantiates with a fresh occurrence, as (axiom, binding) clashes in
         round, axiom and binding order. On an index without a clash before
-        the seed, every binding of the closure's clashes is recorded; with
-        first_clash, the rounds stop at the first that records one, for a
-        caller that only raises it and undoes the rest. Returns
-        (occurrences inserted, clashes)."""
+        the seed, every binding of the closure's clashes is recorded.
+        Returns (occurrences inserted, clashes)."""
         inserted = 0
         clashes = []
         while delta:
@@ -469,8 +468,6 @@ class WindowModel:
                 hit = probe.fresh(ax.body)
                 if hit:
                     clashes.extend((ax, x) for x in sorted(hit))
-            if clashes and first_clash:
-                break
             additions = []
             for atom, homes in probe.consequences(tbox):
                 have = self._index.homes(atom)
@@ -479,14 +476,14 @@ class WindowModel:
             inserted += len(delta)
         return inserted, clashes
 
-    def _ingest(self, boxes, tbox, raise_clash=False):
+    def _ingest(self, boxes, tbox):
         """Append momentary ABoxes, each newer than the last, and close the
         index under the positive axioms with one fixpoint seeded with all of
         their atoms. Derived facts gain homes at the minimum timestamp of
         each new instantiation; nothing already present is touched. Returns
-        the clashes the fixpoint recorded, or with raise_clash raises
-        UnexpectedInconsistency for the first: the first round, the first
-        axiom in order, the smallest binding. Run inside an atomic block."""
+        the clashes the fixpoint recorded, the first being the first
+        round's, the first axiom in order, the smallest binding. Run inside
+        an atomic block."""
         seed = []
         for abox in boxes:
             ts, newest = abox.timestamp, next(reversed(self._ticks), None)
@@ -496,16 +493,15 @@ class WindowModel:
                 raise StaleTimestamp(f"ABox at {ts} outside window {self.extent}")
             self._ticks[ts] = frozenset(abox.atoms)
             seed.extend((atom, ts) for atom in abox.atoms if self._insert(atom, ts))
-        clashes = self._fixpoint(tbox, seed, first_clash=raise_clash)[1]
-        if clashes and raise_clash:
-            raise UnexpectedInconsistency(*clashes[0])
-        return clashes
+        return self._fixpoint(tbox, seed)[1]
 
     def add_abox(self, abox, tbox):
         """Append one momentary ABox and restore the materialization (see
         _ingest). Raises UnexpectedInconsistency for the first clash."""
         with self._atomic():
-            self._ingest([abox], tbox, raise_clash=True)
+            clashes = self._ingest([abox], tbox)
+            if clashes:
+                raise UnexpectedInconsistency(*clashes[0])
         return self
 
     def drop_before(self, cutoff):
@@ -535,13 +531,12 @@ class WindowModel:
         conflicts, adds the abox and returns a report whose removed field is
         read.
 
-        Without repair, a window's closure does not depend on the order its
-        ticks arrive in, so a slide that opens its own transaction ingests
-        two or more fresh ticks with one fixpoint. When that closure
-        clashes, the batch may meet a different clash first than tick-by-tick
-        ingestion would: the raise undoes the slide, which is then replayed
-        tick by tick, so the error is the one add_abox raises for the first
-        clashing tick.
+        Without repair, the ingest rule depends on the TBox alone. With no
+        negative inclusion nothing can clash, and a window's closure does
+        not depend on the order its ticks arrive in, so one fixpoint takes
+        all the fresh ticks. With negative inclusions each tick goes through
+        add_abox, so a clashing slide raises the error of its first clashing
+        tick.
 
         The report is read off the slide's own journal entries, those after
         the ones an enclosing transaction already holds: expiry wrote the
@@ -556,30 +551,20 @@ class WindowModel:
                  if newest is not None and newest >= new_extent.start
                  else bisect_left(stream, new_extent.start, key=key))
         fresh = stream[first:bisect_right(stream, new_extent.end, lo=first, key=key)]
-        if repair is None and len(fresh) > 1 and self._journal is None:
-            try:
-                return self._advance(new_extent, fresh, tbox, batch=True)
-            except UnexpectedInconsistency:
-                pass  # undone; the replay raises the first clashing tick's error
-        return self._advance(new_extent, fresh, tbox, repair)
-
-    def _advance(self, new_extent, fresh, tbox, repair=None, batch=False):
-        """The body of slide, given its fresh boxes; batch ingests them with
-        one fixpoint and raises the first clash of their joint closure."""
         removals = []
         with self._atomic() as journal:
             start = len(journal)
             self.drop_before(new_extent.start)
             expired = len(journal) - start
             self.extent = new_extent
-            if batch:
-                self._ingest(fresh, tbox, raise_clash=True)
-            elif repair is None:
+            if repair is not None:
+                for box in fresh:
+                    removals.extend(repair(self, box).removed)
+            elif tbox.negative_inclusions:
                 for box in fresh:
                     self.add_abox(box, tbox)
             else:
-                for box in fresh:
-                    removals.extend(repair(self, box).removed)
+                self._ingest(fresh, tbox)
             entries = journal[start:]
         return SlideReport(
             extent=new_extent,

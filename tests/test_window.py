@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import atoms_of, box, build_window, catom, ext, occ, ratom, ts
+from conftest import (WORKED_TBOX_TEXT, atoms_of, box, build_window, catom, ext, occ,
+                      ratom, ts)
 from rlwindow.errors import EngineError, StaleTimestamp, UnexpectedInconsistency
 from rlwindow.interpretation import (canonical_model, direct_sum, eval_concept,
                                      eval_role, satisfies, standard_interpretation)
@@ -170,8 +171,8 @@ def test_failed_add_leaves_the_model_as_it_was():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=100_000))
 def test_a_failed_add_raises_the_first_clash_of_the_whole_closure(seed):
-    # add_abox stops its rounds at the first that records a clash; that
-    # clash must be the first one the full closure records.
+    # add_abox raises the clash the tick's whole closure records first:
+    # the first round's, the first axiom in order, the smallest binding.
     tbox = random_tbox(seed, n_concepts=4, n_roles=2, n_axioms=6, n_negative=2,
                        acyclic=False)
     stream = random_stream(seed + 1, n_ticks=5, atoms_per_tick=3,
@@ -469,67 +470,90 @@ def test_nested_slide_reports_only_its_own_atoms(worked_tbox, worked_stream):
 
 # -- batched slides ------------------------------------------------------------
 
-def test_a_multi_tick_slide_runs_one_fixpoint(worked_tbox, worked_stream, monkeypatch):
-    # A slide that opens its own transaction ingests its fresh ticks
-    # together; inside an enclosing one it ingests them tick by tick.
+def _seed_log(monkeypatch, seed_of):
+    """Log seed_of(delta) for every _fixpoint call, in call order."""
     seeds = []
     fixpoint = WindowModel._fixpoint
 
-    def logged(model, tbox, delta, **kwargs):
-        seeds.append(len(delta))
-        return fixpoint(model, tbox, delta, **kwargs)
+    def logged(model, tbox, delta):
+        seeds.append(seed_of(delta))
+        return fixpoint(model, tbox, delta)
 
     monkeypatch.setattr(WindowModel, "_fixpoint", logged)
-    WindowModel(ext(0, 4)).slide(worked_stream, ext(0, 4), worked_tbox)
-    assert seeds == [5]
-    seeds.clear()
-    wm = WindowModel(ext(0, 4))
-    with wm._atomic():
-        wm.slide(worked_stream, ext(0, 4), worked_tbox)
-    assert seeds == [2, 1, 1, 1]
+    return seeds
 
 
-def _slide_outcome(wm, stream, extent, tbox, nested):
-    """The report of a slide, made inside an open transaction when nested,
-    or the text of the UnexpectedInconsistency it raised."""
+def test_a_multi_tick_slide_runs_one_fixpoint(worked_tbox, worked_stream, monkeypatch):
+    # Without a negative inclusion a slide ingests its fresh ticks with one
+    # fixpoint, inside an enclosing transaction or not. With one, even one
+    # that never clashes, it adds them tick by tick.
+    seeds = _seed_log(monkeypatch, len)
+    guarded = parse_tbox(WORKED_TBOX_TEXT + "Z & Y < bot\n")
+    for tbox, want in ((worked_tbox, [5]), (guarded, [2, 1, 1, 1])):
+        for nested in (False, True):
+            seeds.clear()
+            wm = WindowModel(ext(0, 4))
+            with wm._atomic() if nested else nullcontext():
+                wm.slide(worked_stream, ext(0, 4), tbox)
+            assert seeds == want
+
+
+def test_a_clashing_first_tick_seeds_no_batch(monkeypatch):
+    # Under a negative inclusion each fixpoint is seeded from one tick, so
+    # the clash of the first tick raises before the other two are ingested.
+    seeds = _seed_log(monkeypatch, lambda delta: {t for _, t in delta})
+    tbox = parse_tbox("A & B < bot")
+    stream = [box(1, catom("A", "z"), catom("B", "z")), box(2, catom("A", "a")),
+              box(3, catom("B", "a"))]
+    with pytest.raises(UnexpectedInconsistency):
+        WindowModel(ext(1, 3)).slide(stream, ext(1, 3), tbox)
+    assert seeds and all(len(ticks) <= 1 for ticks in seeds)
+
+
+def _outcome(build):
+    """What build() returns, or the text of the UnexpectedInconsistency it
+    raised."""
     try:
-        with wm._atomic() if nested else nullcontext():
-            return wm.slide(stream, extent, tbox)
+        return build()
     except UnexpectedInconsistency as e:
         return str(e)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=100_000),
-       st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4))
-@example(9, [2, 3])
-def test_batched_slides_equal_tick_by_tick_slides(seed, steps):
-    # The referee slides inside an open transaction, so it ingests each
-    # fresh tick with add_abox. Some TBoxes clash: both must then raise the
-    # same error and keep the last window, and the run slides on from it.
-    tbox = random_tbox(seed, n_concepts=4, n_roles=2, n_axioms=6, n_negative=1,
+       st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4),
+       st.integers(min_value=0, max_value=1))
+@example(9, [2, 3], 1)
+def test_batched_slides_equal_tick_by_tick_slides(seed, steps, n_negative):
+    # The referee builds each extent from scratch with add_abox, tick by
+    # tick. Under a negative inclusion some windows clash: the slide must
+    # then raise the referee's error and keep the last window, and the run
+    # slides on from it.
+    tbox = random_tbox(seed, n_concepts=4, n_roles=2, n_axioms=6, n_negative=n_negative,
                        acyclic=False)
     stream = random_stream(seed + 1, n_ticks=14, atoms_per_tick=3,
                            n_individuals=3, n_concepts=4, n_roles=2)
-    batched, ticked = WindowModel(ext(-1, 3)), WindowModel(ext(-1, 3))
+    wm = WindowModel(ext(-1, 3))
     end = 3
     for step in [0, *steps]:
         end += step
         extent = ext(end - 4, end)
-        before = batched.copy()
-        got = _slide_outcome(batched, stream, extent, tbox, nested=False)
-        assert got == _slide_outcome(ticked, stream, extent, tbox, nested=True)
+        before = wm.copy()
+        got = _outcome(lambda: wm.slide(stream, extent, tbox))
+        want = _outcome(lambda: build_window(extent, stream, tbox))
         if isinstance(got, str):
-            assert vars(batched) == vars(before)
-        assert batched._index == ticked._index
-        assert batched._ticks == ticked._ticks
-        assert batched.extent == ticked.extent
+            assert got == want
+            assert vars(wm) == vars(before)
+        else:
+            assert wm._index == want._index
+            assert wm._ticks == want._ticks
+            assert wm.extent == want.extent
 
 
-def test_a_clashing_batch_raises_the_tick_by_tick_error():
+def test_a_clashing_slide_names_its_first_clashing_tick():
     # Tick 1 clashes at z, tick 2 at a. One fixpoint over both ticks meets
-    # a first, by binding order; the slide must still name z and change
-    # nothing.
+    # a first, by binding order; the slide adds them tick by tick, so it
+    # names z and changes nothing.
     tbox = parse_tbox("A & B < bot")
     stream = [box(1, catom("A", "z"), catom("B", "z")), box(2, catom("A", "a"), catom("B", "a"))]
     probe = WindowModel(ext(1, 2))
