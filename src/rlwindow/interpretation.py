@@ -75,10 +75,10 @@ def _eval_concept(expr, concepts, roles):
     if isinstance(expr, ConceptName):
         return set(concepts.get(expr.name, ()))
     if isinstance(expr, Conj):
-        left = _eval_concept(expr.left, concepts, roles)
-        if not left:
-            return set()
-        return left & _eval_concept(expr.right, concepts, roles)
+        members = _eval_concept(expr.parts[0], concepts, roles)
+        for part in expr.parts[1:]:
+            members &= _eval_concept(part, concepts, roles) if members else set()
+        return members
     pairs = _eval_role(expr.role, roles)
     fillers = _eval_concept(expr.filler, concepts, roles)
     return {s for s, o in pairs if o in fillers}

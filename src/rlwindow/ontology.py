@@ -57,8 +57,9 @@ class ConceptName:
 
 @dataclass(frozen=True)
 class Conj:
-    left: "ConceptExpr"
-    right: "ConceptExpr"
+    """Canonically, two or more distinct parts, none a Conj, in struct_key order."""
+
+    parts: tuple["ConceptExpr", ...]
 
 
 @dataclass(frozen=True)
@@ -77,29 +78,24 @@ def struct_key(expr):
     if isinstance(expr, Exists):
         rk = (0, expr.role.name) if isinstance(expr.role, RoleName) else (1, expr.role.name)
         return (1, rk, struct_key(expr.filler))
-    return (2, tuple(struct_key(c) for c in conjuncts(expr)))
-
-
-def conjuncts(expr):
-    """Flatten nested conjunctions into a tuple of non-Conj parts."""
-    if isinstance(expr, Conj):
-        return conjuncts(expr.left) + conjuncts(expr.right)
-    return (expr,)
+    return (2, tuple(struct_key(c) for c in expr.parts))
 
 
 def canonicalize(expr):
-    """Sort and deduplicate conjuncts recursively; right-nest the result."""
-    parts = []
-    for c in conjuncts(expr):
-        if isinstance(c, Exists):
-            c = Exists(c.role, canonicalize(c.filler))
-        if c not in parts:
+    """Flatten nested conjunctions with a stack, canonicalize fillers, sort
+    and deduplicate the parts; a single part stands alone."""
+    parts, stack = [], [expr]
+    while stack:
+        c = stack.pop()
+        if isinstance(c, Conj):
+            stack.extend(c.parts)
+        elif isinstance(c, Exists):
+            parts.append(Exists(c.role, canonicalize(c.filler)))
+        else:
             parts.append(c)
     parts.sort(key=struct_key)
-    out = parts[-1]
-    for c in reversed(parts[:-1]):
-        out = Conj(c, out)
-    return out
+    parts = [c for i, c in enumerate(parts) if i == 0 or c != parts[i - 1]]
+    return parts[0] if len(parts) == 1 else Conj(tuple(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +257,11 @@ def _parse_term(tk):
 
 
 def _parse_concept(tk):
-    expr = _parse_term(tk)
+    parts = [_parse_term(tk)]
     while tk.peek()[0] == "&":
         tk.next("&")
-        expr = Conj(expr, _parse_term(tk))
-    return expr
+        parts.append(_parse_term(tk))
+    return parts[0] if len(parts) == 1 else Conj(tuple(parts))
 
 
 def _parse_axiom_line(line_text, lineno):
@@ -329,7 +325,7 @@ def format_concept(expr):
         if isinstance(expr.filler, Conj):
             filler = f"({filler})"
         return f"some {expr.role} . {filler}"
-    return " & ".join(format_concept(c) for c in conjuncts(expr))
+    return " & ".join(format_concept(c) for c in expr.parts)
 
 
 def format_axiom(ax):
@@ -374,10 +370,9 @@ def _single_substitutions(expr, tbox):
     if isinstance(expr, ConceptName):
         out.extend(tbox.bodies.get(expr.name, ()))
     elif isinstance(expr, Conj):
-        for left in _single_substitutions(expr.left, tbox):
-            out.append(Conj(left, expr.right))
-        for right in _single_substitutions(expr.right, tbox):
-            out.append(Conj(expr.left, right))
+        for i, part in enumerate(expr.parts):
+            for sub in _single_substitutions(part, tbox):
+                out.append(Conj(expr.parts[:i] + (sub,) + expr.parts[i + 1:]))
     else:
         for sub in tbox.subroles.get(expr.role.name, ()):
             role = sub if isinstance(expr.role, RoleName) else invert_role(sub)

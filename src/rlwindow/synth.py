@@ -28,8 +28,8 @@ def _random_body(rng, concepts, roles, depth):
     if depth <= 0 or kind < 0.45:
         return ConceptName(rng.choice(concepts))
     if kind < 0.75:
-        return Conj(_random_body(rng, concepts, roles, depth - 1),
-                    _random_body(rng, concepts, roles, depth - 1))
+        return Conj((_random_body(rng, concepts, roles, depth - 1),
+                     _random_body(rng, concepts, roles, depth - 1)))
     return Exists(_random_role(rng, roles),
                   _random_body(rng, concepts, roles, depth - 1))
 
@@ -68,9 +68,9 @@ def random_tbox(seed, n_concepts=6, n_roles=3, n_axioms=8, n_negative=2,
         body = canonicalize(_random_body(rng, body_pool, roles, max_depth))
         axioms.append(ConceptInclusion(body, head))
     for _ in range(n_negative):
-        body = canonicalize(Conj(
+        body = canonicalize(Conj((
             _random_body(rng, concepts, roles, 1),
-            _random_body(rng, concepts, roles, 1)))
+            _random_body(rng, concepts, roles, 1))))
         axioms.append(NegativeInclusion(body))
     return TBox(axioms)
 

@@ -217,8 +217,9 @@ class _Probe:
 
     at(expr, x) annotates the instantiations of expr at x over the whole
     index; fresh(expr) maps each x to the annotation of those that use a
-    delta occurrence: a conjunction is fresh-left x all-right plus all-left x
-    fresh-right, an existential fresh-role x filler plus role x fresh-filler.
+    delta occurrence: a conjunction is the sum over its parts i of fresh
+    part i x all of every other part, an existential fresh-role x filler
+    plus role x fresh-filler.
     Both are memoized for the round on id(expr), since hashing a nested
     expression walks all of it. fresh may repeat instantiations the index
     already derives; callers deduplicate.
@@ -258,12 +259,7 @@ class _Probe:
             homes = self.index.concepts.get(expr.name, {}).get(x)
             out = self.concept_leaf(expr.name, x, homes) if homes else set()
         elif isinstance(expr, Conj):
-            out = set()
-            left = self.at(expr.left, x)
-            if left:
-                right = self.at(expr.right, x)
-                if right:
-                    out = self.join(left, right)
+            out = self._join_at(expr.parts, x)
         else:
             out = set()
             for y, homes in self.index.role_neighbors(expr.role, x):
@@ -271,6 +267,14 @@ class _Probe:
                 if filler:
                     out |= self.join(self.role_leaf(expr.role, x, y, homes), filler)
         self._at[key] = out
+        return out
+
+    def _join_at(self, parts, x):
+        """The join of at(part, x) over the parts, in order; empty once one of them is."""
+        out = self.at(parts[0], x)
+        for part in parts[1:]:
+            ann = self.at(part, x) if out else None
+            out = self.join(out, ann) if ann else set()
         return out
 
     def fresh(self, expr):
@@ -282,14 +286,14 @@ class _Probe:
             for x, homes in self.delta.concepts.get(expr.name, {}).items():
                 out[x] = self.concept_leaf(expr.name, x, homes)
         elif isinstance(expr, Conj):
-            for x, ann in self.fresh(expr.left).items():
-                other = self.at(expr.right, x)
-                if other:
-                    _merge(out, x, self.join(ann, other))
-            for x, ann in self.fresh(expr.right).items():
-                other = self.at(expr.left, x)
-                if other:
-                    _merge(out, x, self.join(other, ann))
+            parts = expr.parts
+            for i, part in enumerate(parts):
+                hits = self.fresh(part)
+                others = parts[:i] + parts[i + 1:] if hits else ()
+                for x, ann in hits.items():
+                    other = self._join_at(others, x)
+                    if other:
+                        _merge(out, x, self.join(ann, other))
         else:
             role = expr.role
             for x, y, homes in self.delta.role_matches(role):

@@ -299,6 +299,19 @@ def test_unfold_budget_overrun_reports_refusal(files, capsys):
     assert "error:" in err and "bodies" in err
 
 
+@pytest.mark.parametrize("repair", [[], ["--repair"]])
+def test_a_body_of_1200_conjuncts_runs(files, capsys, repair):
+    names = [f"N{i}" for i in range(1200)]
+    tbox, stream = files(" & ".join(names) + " < H\nH & Z < bot\n",
+                         "".join(f"{i // 600} {n}(a)\n" for i, n in enumerate(names))
+                         + "1 Z(b)\n")
+    code, out, err = run_main(["--tbox", tbox, "--stream", stream, "--width", "1",
+                               "--slide", "1", "--origin", "1", *repair], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("WINDOW [0, 1]\nH(a) @ {0}\nN0(a) @ {0}\n")
+    assert out.endswith("Z(b) @ {1}\n\n")
+
+
 def test_usage_errors_follow_argparse_convention(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])
@@ -329,6 +342,22 @@ def test_oracle_disagreement_reports_status_one(files, capsys, monkeypatch):
     assert out.startswith("WINDOW [0, 2]\n")  # the offending block was emitted
     assert "oracle MISMATCH for window [0, 2]" in err
     assert "engine is missing X(a)" in err
+
+
+def test_the_oracle_checks_every_window(files, capsys, monkeypatch):
+    # The first two windows match; only the third disagrees.
+    checked = []
+
+    def cross_check(wm, stream, extent, tbox, ntbox=None):
+        checked.append(extent)
+        wrong = ("engine is missing X(a)",) if len(checked) == 3 else ()
+        return OracleVerdict(subject=extent, match=not wrong, diff=wrong)
+
+    monkeypatch.setattr(cli, "cross_check", cross_check)
+    code, out, err = run_main(worked_argv(files, "--check-oracle"), capsys)
+    assert code == 1
+    assert out.count("WINDOW ") == 3 and out == WORKED_WINDOWS
+    assert err == "oracle MISMATCH for window [2, 4]\n  engine is missing X(a)\n"
 
 
 def test_truncated_rewrite_with_repair_repairs_exactly(files, capsys):

@@ -63,11 +63,11 @@ def test_direct_sum_associative_commutative(x, y, z):
 
 def test_eval_conjunction_intersects():
     i = interp({"A": {"a"}, "C": {"a", "b"}})
-    assert eval_concept(Conj(ConceptName("A"), ConceptName("C")), i) == {"a"}
+    assert eval_concept(Conj((ConceptName("A"), ConceptName("C"))), i) == {"a"}
 
 
 def test_eval_on_empty_interpretation():
-    e = Conj(ConceptName("A"), Exists(RoleName("R"), ConceptName("B")))
+    e = Conj((ConceptName("A"), Exists(RoleName("R"), ConceptName("B"))))
     assert eval_concept(e, interp()) == set()
 
 

@@ -15,10 +15,7 @@ def C(name):
 
 
 def conj(*parts):
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = Conj(p, out)
-    return out
+    return Conj(parts)
 
 
 # -- parsing -----------------------------------------------------------------
@@ -96,18 +93,32 @@ def test_duplicate_axioms_collapse():
 # -- canonical form ----------------------------------------------------------
 
 def test_canonicalize_sorts_flattens_dedupes():
-    got = canonicalize(Conj(Conj(C("B"), C("A")), Conj(C("B"), C("A"))))
+    got = canonicalize(Conj((Conj((C("B"), C("A"))), Conj((C("B"), C("A"))))))
     assert got == conj(C("A"), C("B"))
 
 
 def test_canonicalize_recurses_into_fillers():
-    got = canonicalize(Exists(RoleName("R"), Conj(C("B"), C("A"))))
+    got = canonicalize(Exists(RoleName("R"), Conj((C("B"), C("A")))))
     assert got == Exists(RoleName("R"), conj(C("A"), C("B")))
 
 
 def test_canonicalize_idempotent():
-    e = canonicalize(Conj(Exists(RoleInverse("r"), C("X")), Conj(C("A"), C("A"))))
+    e = canonicalize(Conj((Exists(RoleInverse("r"), C("X")), Conj((C("A"), C("A"))))))
     assert canonicalize(e) == e
+
+
+def test_a_conjunction_is_one_flat_tuple_of_parts():
+    tbox = parse_tbox("C & (A & B) & some r . (B & A) < D")
+    assert tbox.axioms == (ConceptInclusion(
+        conj(C("A"), C("B"), C("C"), Exists(RoleName("r"), conj(C("A"), C("B")))), "D"),)
+
+
+def test_canonicalize_flattens_conjunctions_nested_past_the_recursion_limit():
+    nested = C("A0")
+    for i in range(1, 2000):
+        nested = Conj((C(f"A{i}"), nested))
+    want = canonicalize(Conj(tuple(C(f"A{i}") for i in range(2000))))
+    assert canonicalize(nested) == want and len(want.parts) == 2000
 
 
 def _names():
@@ -122,13 +133,13 @@ def _concepts(depth=2):
     role = st.sampled_from(["r", "s"]).flatmap(
         lambda n: st.sampled_from([RoleName(n), RoleInverse(n)]))
     return st.one_of(base,
-                     st.tuples(sub, sub).map(lambda p: Conj(*p)),
+                     st.tuples(sub, sub).map(Conj),
                      st.tuples(role, sub).map(lambda p: Exists(*p)))
 
 
 @given(_concepts(), _concepts())
 def test_canonicalize_commutative(a, b):
-    assert canonicalize(Conj(a, b)) == canonicalize(Conj(b, a))
+    assert canonicalize(Conj((a, b))) == canonicalize(Conj((b, a)))
 
 
 # -- round-trip --------------------------------------------------------------

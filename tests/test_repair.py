@@ -579,8 +579,10 @@ def _brute_supports(expr, x, occs):
     if isinstance(expr, ConceptName):
         return [frozenset({o}) for o in occs if o.atom == catom(expr.name, x)]
     if isinstance(expr, Conj):
-        return [left | right for left in _brute_supports(expr.left, x, occs)
-                for right in _brute_supports(expr.right, x, occs)]
+        out = [frozenset()]
+        for part in expr.parts:
+            out = [done | supp for done in out for supp in _brute_supports(part, x, occs)]
+        return out
     out = []
     for o in occs:
         if not isinstance(o.atom, RoleAtom) or o.atom.role != expr.role.name:
@@ -672,9 +674,9 @@ _PLANT_SITES = {
 }
 
 
-def _repair_with_a_planted_raise(site, k, tbox, stream):
+def _repair_with_a_planted_raise(site, k, tbox, stream, planted_type=_Planted):
     """Three repairing adds, then a repairing slide, on a new model, with
-    _Planted raised at the k-th counted call of site (never, for k = 0).
+    planted_type raised at the k-th counted call of site (never, for k = 0).
     Each step that raises must leave the model as it was. Returns the
     counted calls and the steps that raised."""
     owner, name, counts = _PLANT_SITES[site]
@@ -684,7 +686,7 @@ def _repair_with_a_planted_raise(site, k, tbox, stream):
         if counts(args, inside[0]):
             calls[0] += 1
             if calls[0] == k:
-                raise _Planted
+                raise planted_type
         return original(*args, **kwargs)
 
     apply = repair.apply_repair
@@ -707,7 +709,9 @@ def _repair_with_a_planted_raise(site, k, tbox, stream):
             before = wm.copy()
             try:
                 step(wm)
-            except _Planted:
+            except BaseException as e:
+                if type(e) is not planted_type:
+                    raise
                 raised += 1
                 assert vars(wm) == vars(before)
                 _assert_buckets_invert_homes(wm)
@@ -718,7 +722,8 @@ def _repair_with_a_planted_raise(site, k, tbox, stream):
 @given(st.integers(min_value=0, max_value=100_000), st.data())
 def test_raising_repair_operations_change_nothing(seed, data):
     # Cyclic TBoxes. A raise at the k-th call of one step of repair, k up to
-    # the calls of a clean run, must leave the model as it was.
+    # the calls of a clean run, must leave the model as it was, also when it
+    # is not an Exception, such as a KeyboardInterrupt.
     tbox = random_tbox(seed, n_concepts=4, n_roles=2, n_axioms=6, n_negative=2,
                        acyclic=False)
     stream = random_stream(seed + 1, n_ticks=6, atoms_per_tick=3,
@@ -727,7 +732,8 @@ def test_raising_repair_operations_change_nothing(seed, data):
     clean_calls, _ = _repair_with_a_planted_raise(site, 0, tbox, stream)
     assume(clean_calls)
     k = data.draw(st.integers(min_value=1, max_value=clean_calls))
-    _, raised = _repair_with_a_planted_raise(site, k, tbox, stream)
+    planted_type = data.draw(st.sampled_from([_Planted, KeyboardInterrupt]))
+    _, raised = _repair_with_a_planted_raise(site, k, tbox, stream, planted_type)
     assert raised >= 1
 
 

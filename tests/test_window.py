@@ -11,7 +11,7 @@ from rlwindow.errors import EngineError, StaleTimestamp, UnexpectedInconsistency
 from rlwindow.interpretation import (canonical_model, direct_sum, eval_concept,
                                      eval_role, satisfies, standard_interpretation)
 from rlwindow.oracle import naive_window_materialization
-from rlwindow.ontology import RoleInverse, RoleName, parse_tbox
+from rlwindow.ontology import RoleInverse, RoleName, format_axiom, parse_tbox
 from rlwindow.repair import add_abox_with_repair
 from rlwindow.stream import (ConceptAtom, Occurrence, RoleAtom, Timestamp, WindowSpec,
                              window_extents)
@@ -125,6 +125,21 @@ def test_add_to_empty_equals_canonical_model(worked_tbox, worked_stream):
     assert atoms_of(wm.window_interpretation()) == atoms_of(expect)
 
 
+def test_a_body_of_1200_conjuncts_agrees_with_the_canonical_model():
+    names = [f"N{i}" for i in range(1200)]
+    tbox = parse_tbox(" & ".join(names) + " < H\nH & Z < bot\n")
+    atoms = [catom(n, "a") for n in names] + [catom("Z", "b")]
+    wm = WindowModel(ext(0, 2))
+    wm.add_abox(box(0, *atoms[:600]), tbox)
+    wm.add_abox(box(1, *atoms[600:]), tbox)
+    assert atoms_of(wm.window_interpretation()) == atoms_of(canonical_model(atoms, tbox))
+    assert homes_text(wm, catom("H", "a")) == ["0"]
+    assert canonical_model(atoms + [catom("Z", "a")], tbox).binding == "a"
+    with pytest.raises(UnexpectedInconsistency) as e:
+        wm.add_abox(box(2, catom("Z", "a")), tbox)
+    assert e.value.binding == "a"
+
+
 def test_add_empty_abox_keeps_interpretation(worked_tbox, worked_stream):
     wm = build_window(ext(1, 4), worked_stream, worked_tbox)
     before = wm.window_interpretation()
@@ -168,26 +183,17 @@ def test_failed_add_leaves_the_model_as_it_was():
     assert wm.asserted_occurrences() == {occ(catom("B", "a"), 1)}
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=100_000))
-def test_a_failed_add_raises_the_first_clash_of_the_whole_closure(seed):
-    # add_abox raises the clash the tick's whole closure records first:
-    # the first round's, the first axiom in order, the smallest binding.
-    tbox = random_tbox(seed, n_concepts=4, n_roles=2, n_axioms=6, n_negative=2,
-                       acyclic=False)
-    stream = random_stream(seed + 1, n_ticks=5, atoms_per_tick=3,
-                           n_individuals=2, n_concepts=4, n_roles=2)
-    wm = WindowModel(ext(0, 4))
-    for b in stream:
-        full = wm.copy()
-        with full._atomic():
-            clashes = full._ingest([b], tbox)
-        try:
-            wm.add_abox(b, tbox)
-        except UnexpectedInconsistency as e:
-            assert clashes and (e.axiom, e.binding) == clashes[0]
-        else:
-            assert not clashes
+def test_a_failed_add_raises_the_first_clash_of_the_whole_closure():
+    # add_abox raises the clash its tick's closure records first: the first
+    # round's, then the first axiom in order, then the smallest binding.
+    # E & B comes first in the TBox and binds a, the smaller individual,
+    # but E(a) is derived only in the second round.
+    tbox = parse_tbox("E & B < bot\nD < E\nA & B < bot")
+    wm = WindowModel(ext(0, 1))
+    with pytest.raises(UnexpectedInconsistency) as e:
+        wm.add_abox(box(0, catom("A", "b"), catom("B", "b"), catom("D", "a"),
+                        catom("B", "a")), tbox)
+    assert (format_axiom(e.value.axiom), e.value.binding) == ("A & B < bot", "b")
 
 
 def test_failed_slide_undoes_expiry_and_earlier_ticks():
@@ -249,6 +255,19 @@ def test_drop_noop_and_full(worked_tbox, worked_stream):
     wm.drop_before(ts(99))
     assert wm.window_interpretation().is_empty
     assert list(wm._ticks) == []
+
+
+def test_drop_before_narrows_the_extent_to_the_cutoff():
+    tbox = parse_tbox("A < B")
+    wm = WindowModel(ext(0, 4))
+    wm.add_abox(box(0, catom("A", "a")), tbox)
+    wm.drop_before(ts(2))
+    assert wm.extent == ext(2, 4)
+    with pytest.raises(StaleTimestamp):
+        wm.add_abox(box(1, catom("A", "b")), tbox)
+    for cutoff in (0, 2, 5):  # not in (start, end]: the extent stays
+        wm.drop_before(ts(cutoff))
+        assert wm.extent == ext(2, 4)
 
 
 def test_a_raising_expiry_changes_nothing(worked_tbox, worked_stream, monkeypatch):
