@@ -13,6 +13,7 @@ import sys
 import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import EngineError, ParseError, UnexpectedInconsistency
 from .ontology import parse_tbox, unfold_negative_inclusions
@@ -129,11 +130,12 @@ def run(config, out=None, err=None):
 
     # A failed slide leaves the model as it was, so after an inconsistent
     # window the run slides on from the last consistent one.
-    wm = WindowModel(extents[0])
+    first = next(extents)
+    wm = WindowModel(first)
     rendered = WindowLines()
     prev_atoms = set()  # the atoms of the last window printed in diff mode
     try:
-        for extent in extents:
+        for extent in chain((first,), extents):
             lines = [f"WINDOW {extent}"]
             try:
                 report = wm.slide(stream, extent, tbox, repair=hook)
@@ -235,8 +237,9 @@ def bench(seed, overlap=90.0, timestamps=200, atoms_per_tick=20):
 
     rows = []
     mismatches = 0
-    wm = WindowModel(extents[0])
-    for extent in extents:
+    first = next(extents)
+    wm = WindowModel(first)
+    for extent in chain((first,), extents):
         t0 = time.perf_counter_ns()
         wm.slide(stream, extent, tbox)
         incr = (time.perf_counter_ns() - t0) // 1000

@@ -15,16 +15,11 @@ from .errors import OutOfOrder, ParseError
 
 MICROS = 1_000_000  # fixed-point scale, six fractional digits
 
-_TS_RE = re.compile(r"^[+-]?\d+(?:\.\d{1,6})?$")
+_TS_RE = re.compile(r"([+-]?)(\d+)(?:\.(\d{1,6}))?")
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_NAME_RE = re.compile(rf"^{_NAME}$")
-_ATOM_RE = re.compile(rf"^({_NAME})\(([^)]*)\)$")
-# A well-formed stream line of ASCII text, spaces and tabs, and no comment.
-# Groups: the timestamp and atom texts as the general path splits them, then
-# the atom's predicate and its one or two arguments as parse_atom reads them.
-_LINE_RE = re.compile(
-    rf"[ \t]*([+-]?[0-9]+(?:\.[0-9]{{1,6}})?)[ \t]+"
-    rf"(({_NAME})\([ \t]*({_NAME})[ \t]*(?:,[ \t]*({_NAME})[ \t]*)?\))[ \t]*")
+_NAME_RE = re.compile(_NAME)
+_ATOM_RE = re.compile(rf"({_NAME})\(\s*({_NAME})\s*(?:,\s*({_NAME})\s*)?\)")
+_ATOM_SHAPE_RE = re.compile(rf"{_NAME}\(([^)]*)\)")
 
 
 class Timestamp(int):
@@ -43,16 +38,12 @@ class Timestamp(int):
     @classmethod
     def parse(cls, text, line=None):
         text = text.strip()
-        if not _TS_RE.match(text):
+        m = _TS_RE.fullmatch(text)
+        if not m:
             raise ParseError(f"bad timestamp {text!r}", line=line)
-        neg = text.startswith("-")
-        body = text.lstrip("+-")
-        if "." in body:
-            whole, frac = body.split(".")
-        else:
-            whole, frac = body, ""
+        sign, whole, frac = m.groups("")
         micros = int(whole) * MICROS + int(frac.ljust(6, "0"))
-        return cls(-micros if neg else micros)
+        return cls(-micros if sign == "-" else micros)
 
     @classmethod
     def of(cls, value):
@@ -171,17 +162,16 @@ class WindowSpec:
 def parse_atom(text, line=None):
     """Parse 'A(a)' or 'R(a,b)'."""
     text = text.strip()
-    m = _ATOM_RE.match(text)
+    m = _ATOM_RE.fullmatch(text)
+    if m:
+        pred, first, second = m.groups()
+        return ConceptAtom(pred, first) if second is None else RoleAtom(pred, first, second)
+    m = _ATOM_SHAPE_RE.fullmatch(text)
     if not m:
         raise ParseError(f"bad atom {text!r}", line=line)
-    pred, inner = m.group(1), m.group(2)
-    args = [a.strip() for a in inner.split(",")]
-    if any(not _NAME_RE.match(a) for a in args):
+    args = m.group(1).split(",")
+    if not all(_NAME_RE.fullmatch(a.strip()) for a in args):
         raise ParseError(f"bad atom arguments in {text!r}", line=line)
-    if len(args) == 1:
-        return ConceptAtom(pred, args[0])
-    if len(args) == 2:
-        return RoleAtom(pred, args[0], args[1])
     raise ParseError(f"atom {text!r} has {len(args)} arguments, expected 1 or 2", line=line)
 
 
@@ -192,10 +182,10 @@ def parse_stream(text):
     same timestamp are grouped into one momentary ABox; once a later
     timestamp is seen, returning to an earlier one is an OutOfOrder error.
 
-    A well-formed line (_LINE_RE) is split by one match, and each distinct
-    timestamp and atom text is parsed once per call, so equal atoms share
-    one tuple; every other line takes the general path, which strips
-    comments and reports what is wrong with it.
+    Every line takes one path: its comment is cut off, it is stripped and
+    split once, and Timestamp.parse and parse_atom read the two parts and
+    report what is wrong with them. Each distinct timestamp and atom text
+    is parsed once per call, and equal atoms share one tuple.
     """
     boxes = []
     cur_ts = None
@@ -207,26 +197,19 @@ def parse_stream(text):
             boxes.append(MomentaryABox(cur_ts, frozenset(cur_atoms)))
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        m = _LINE_RE.fullmatch(raw)
-        if m:
-            ts_text, atom_text, pred, first, second = m.groups()
-            ts = stamps.get(ts_text)
-            if ts is None:
-                ts = stamps[ts_text] = Timestamp.parse(ts_text)
-            atom = atoms.get(atom_text)
-            if atom is None:
-                atom = (ConceptAtom(pred, first) if second is None
-                        else RoleAtom(pred, first, second))
-                atom = atoms[atom_text] = interned.setdefault(atom, atom)
-        else:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split(None, 1)
-            if len(parts) != 2:
-                raise ParseError(f"expected 'TIMESTAMP atom', got {raw.strip()!r}", line=lineno)
-            ts = Timestamp.parse(parts[0], line=lineno)
-            atom = parse_atom(parts[1], line=lineno)
+        parts = raw.split("#", 1)[0].strip().split(None, 1)
+        if not parts:
+            continue
+        if len(parts) != 2:
+            raise ParseError(f"expected 'TIMESTAMP atom', got {raw.strip()!r}", line=lineno)
+        ts_text, atom_text = parts
+        ts = stamps.get(ts_text)
+        if ts is None:
+            ts = stamps[ts_text] = Timestamp.parse(ts_text, line=lineno)
+        atom = atoms.get(atom_text)
+        if atom is None:
+            atom = parse_atom(atom_text, line=lineno)
+            atom = atoms[atom_text] = interned.setdefault(atom, atom)
         if cur_ts is None or ts > cur_ts:
             flush()
             cur_ts = ts
@@ -241,19 +224,14 @@ def parse_stream(text):
 
 
 def window_extents(spec, horizon):
-    """All window extents [origin + k*slide - width, origin + k*slide]
-    whose end does not pass the horizon, in order."""
+    """A lazy iterator over the window extents [origin + k*slide - width,
+    origin + k*slide] whose end does not pass the horizon, in order. A
+    horizon before the origin raises ValueError at the call."""
     if horizon < spec.origin:
         raise ValueError("horizon precedes the window origin")
-    out = []
-    k = 0
-    while True:
-        end = Timestamp(spec.origin + k * spec.slide)
-        if end > horizon:
-            break
-        out.append(WindowExtent(end - spec.width, end))
-        k += 1
-    return out
+    ends = (spec.origin + k * spec.slide
+            for k in range((horizon - spec.origin) // spec.slide + 1))
+    return (WindowExtent(end - spec.width, end) for end in ends)
 
 
 def window_abox(stream, extent):

@@ -299,6 +299,20 @@ def test_unfold_budget_overrun_reports_refusal(files, capsys):
     assert "error:" in err and "bodies" in err
 
 
+def test_an_oracle_cap_overrun_reports_refusal(files, capsys):
+    # 17 atoms at one tick, two of them clashing: repair drops the pair,
+    # and the definitional repair refuses the pool past its cap of 16.
+    atoms = ["A(a)", "B(a)"] + [f"C{i}(a)" for i in range(1, 16)]
+    tbox, stream = files("A & B < bot\n", "".join(f"0 {a}\n" for a in atoms))
+    code, out, err = run_main(
+        ["--tbox", tbox, "--stream", stream, "--width", "1", "--slide", "1",
+         "--origin", "0", "--repair", "--check-oracle"], capsys)
+    assert code == 5
+    assert out.count("WINDOW ") == 1
+    assert out.endswith("\nREMOVED 0 A(a)\nREMOVED 0 B(a)\n\n")
+    assert err == "error: 17 occurrences exceed the cap of 16\n"
+
+
 @pytest.mark.parametrize("repair", [[], ["--repair"]])
 def test_a_body_of_1200_conjuncts_runs(files, capsys, repair):
     names = [f"N{i}" for i in range(1200)]
@@ -405,14 +419,42 @@ def test_run_when_the_horizon_precedes_the_origin(files):
     assert out.getvalue() == ""
 
 
-def test_run_refuses_an_unknown_emit_mode(files):
+def test_run_refuses_a_bad_config(files):
     tbox, stream = files(WORKED_TBOX, WORKED_STREAM)
+    for option, message in [
+            ({"emit": "windows"}, "emit must be 'window' or 'diff', not 'windows'"),
+            ({"unfold_depth": -1}, "unfold depth must be nonnegative")]:
+        config = cli.RunConfig(tbox_path=tbox, stream_path=stream,
+                               width=ts(2), slide=ts(1), origin=ts(2), **option)
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.run(config, out=out, err=err) == 4
+        assert out.getvalue() == ""
+        assert err.getvalue() == f"error: {message}\n"
+
+
+class _Stopped(Exception):
+    pass
+
+
+class _StopAtSecondWindow(io.StringIO):
+    """Output that raises when the second window block is written."""
+
+    def write(self, text):
+        if text.startswith("WINDOW ") and "WINDOW " in self.getvalue():
+            raise _Stopped
+        return super().write(text)
+
+
+def test_run_prints_the_first_window_before_building_the_rest(files):
+    # Ticks 2*10^7 units apart at width and slide 1 span 2*10^7 windows;
+    # the first is printed before any later extent is built.
+    tbox, stream = files("A < B\n", "0 A(a)\n20000000 A(b)\n")
     config = cli.RunConfig(tbox_path=tbox, stream_path=stream,
-                           width=ts(2), slide=ts(1), origin=ts(2), emit="windows")
-    out, err = io.StringIO(), io.StringIO()
-    assert cli.run(config, out=out, err=err) == 4
-    assert out.getvalue() == ""
-    assert err.getvalue() == "error: emit must be 'window' or 'diff', not 'windows'\n"
+                           width=ts(1), slide=ts(1), origin=ts(0))
+    out = _StopAtSecondWindow()
+    with pytest.raises(_Stopped):
+        cli.run(config, out=out, err=io.StringIO())
+    assert out.getvalue() == "WINDOW [-1, 0]\nA(a) @ {0}\nB(a) @ {0}\n\n"
 
 
 # -- bench ----------------------------------------------------------------------------

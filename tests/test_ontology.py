@@ -83,6 +83,17 @@ def test_malformed_lines_report_position():
         parse_tbox("(A & B < C")
     with pytest.raises(ParseError):
         parse_tbox("A < B C")
+    for text, message in [
+            ("inv(some) < inv(Q)", "'some' is reserved at line 1, col 5"),
+            ("some bot . A < B", "'bot' is reserved at line 1, col 6"),
+            ("A & inv(P) < B", "inv(...) is a role, not a concept at line 1, col 5"),
+            ("inv(P) < inv(Q) X", "trailing input after role inclusion at line 1, col 17"),
+            ("P < inv(Q) X", "trailing input after role inclusion at line 1, col 12"),
+            ("A & B < inv(Q)", "role inclusion needs a role on the left at line 1, col 9"),
+            ("A & B < bot C", "trailing input after bot at line 1, col 13")]:
+        with pytest.raises(ParseError) as e:
+            parse_tbox(text)
+        assert str(e.value) == message, text
 
 
 def test_duplicate_axioms_collapse():

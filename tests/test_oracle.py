@@ -93,6 +93,14 @@ def test_definitional_repair_keeps_both_newer_copies():
     assert got == {occ(catom("C", "a"), 2), occ(catom("C", "a"), 3)}
 
 
+def test_definitional_repair_refuses_large_pools():
+    tbox = parse_tbox("A & B < bot")
+    atoms = ["A(a)", "B(a)"] + [f"C{i}(a)" for i in range(1, 16)]
+    stream = parse_stream("".join(f"0 {a}\n" for a in atoms))
+    with pytest.raises(CapExceeded, match="17 occurrences exceed the cap of 16"):
+        definitional_window_repair(stream, ext(-1, 0), tbox)
+
+
 def test_definitional_repair_respects_the_extent():
     tbox = parse_tbox("A & C < bot")
     stream = parse_stream("1 A(a)\n2 C(a)\n")
@@ -182,6 +190,21 @@ def test_cross_check_flags_unrepaired_survivors(pedals_tbox, pedals_stream):
     assert not verdict.match
     assert any("oracle repair drops it" in line for line in verdict.diff)
     assert any("negative body" in line for line in verdict.diff)
+
+
+def test_cross_check_flags_a_missing_derived_atom(worked_tbox, worked_stream):
+    wm = build_window(ext(1, 2), worked_stream, worked_tbox)
+    with wm._atomic():
+        wm._discard(catom("D", "a"), ts(1))
+    verdict = cross_check(wm, worked_stream, ext(1, 2), worked_tbox)
+    assert verdict.diff == ("engine is missing D(a)",)
+
+
+def test_cross_check_flags_a_dropped_assertion(worked_tbox, worked_stream):
+    wm = build_window(ext(1, 2), worked_stream, worked_tbox)
+    wm._ticks[ts(2)] = frozenset()
+    verdict = cross_check(wm, worked_stream, ext(1, 2), worked_tbox)
+    assert "engine dropped C(a) @ 2, oracle repair keeps it" in verdict.diff
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -99,7 +101,7 @@ def test_parse_stream_rejects_decreasing_timestamps():
 
 
 def test_parse_stream_skips_comments_and_blanks():
-    boxes = parse_stream("# header\n\n1 A(a)  # trailing\n")
+    boxes = parse_stream("# header\n\n1 A(a)  # trailing # and more\n")
     assert boxes == [box(1, catom("A", "a"))]
 
 
@@ -116,9 +118,9 @@ def test_parse_stream_shares_equal_atoms():
 
 
 def _reference_parse(text):
-    """A stream file parsed line by line with Timestamp.parse and
-    parse_atom alone: the grouped boxes, or (type, message, line) of the
-    first error."""
+    """A stream file parsed line by line, with no cache: each line's
+    timestamp and atom texts go to Timestamp.parse and parse_atom afresh.
+    Gives the grouped boxes, or (type, message, line) of the first error."""
     boxes = []
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -150,8 +152,10 @@ def _outcome(text):
 # Stream texts that are mostly well formed, with noise: ticks written
 # plainly, signed, padded or with a zero fraction, or in Arabic-Indic and
 # fullwidth digits, which Timestamp.parse also reads; timestamps it rejects;
-# names and arities parse_atom rejects; Unicode whitespace, which the
-# general path strips and splits on; comments, blank lines, and CRLF ends.
+# names and arities parse_atom rejects; Unicode whitespace, which stripping
+# and splitting treat as space; comments, blank lines, and CRLF ends. Equal
+# timestamp and atom texts recur often, so the per-call caches are hit, and
+# texts that differ only in spacing meet in one interned atom.
 _good_names = st.sampled_from(["A", "B", "r", "_x", "a1"])
 _bad_names = st.sampled_from(["1a", "a-b", "é", ""])
 _good_pads = st.sampled_from(["", " ", "\t", " \t "])
@@ -211,26 +215,40 @@ def _stream_texts(draw):
 @example("0 A(a)\n1 A(a,b,c)\n")
 @example("0 A(a)\n\n 1.1234567 A(a)\n")
 def test_parse_stream_agrees_with_a_line_by_line_reference(text):
-    # The one-pattern path for well-formed lines must give the boxes, or
-    # the error with its message and line, that the general path gives.
-    assert _outcome(text) == _reference_parse(text)
+    # Caching timestamp and atom texts per call, and interning atoms, must
+    # not change the result: the boxes, or the error with its message and
+    # line, are those of an uncached line-by-line reference. Equal atoms
+    # share one tuple.
+    got = _outcome(text)
+    assert got == _reference_parse(text)
+    if isinstance(got, list):
+        atoms = [a for b in got for a in b.atoms]
+        assert len(set(map(id, atoms))) == len(set(atoms))
 
 
 # -- windows -----------------------------------------------------------------
 
 def test_window_extents_sliding():
     spec = WindowSpec(ts(2), ts(1), ts(2))
-    assert window_extents(spec, ts(4)) == [ext(0, 2), ext(1, 3), ext(2, 4)]
+    assert list(window_extents(spec, ts(4))) == [ext(0, 2), ext(1, 3), ext(2, 4)]
 
 
 def test_window_extents_tumbling_single():
     spec = WindowSpec(ts(5), ts(5), ts(5))
-    assert window_extents(spec, ts(5)) == [ext(0, 5)]
+    assert list(window_extents(spec, ts(5))) == [ext(0, 5)]
 
 
 def test_window_extents_initial_only():
     spec = WindowSpec(ts(2), ts(1), ts(0))
-    assert window_extents(spec, ts(0)) == [ext(-2, 0)]
+    assert list(window_extents(spec, ts(0))) == [ext(-2, 0)]
+
+
+def test_window_extents_are_lazy():
+    # Nothing is built ahead: the first extents of a horizon 10^30
+    # micro-units past the origin come at once.
+    spec = WindowSpec(ts(2), ts(1), ts(0))
+    extents = window_extents(spec, Timestamp(10**30))
+    assert list(islice(extents, 3)) == [ext(-2, 0), ext(-1, 1), ext(0, 2)]
 
 
 def test_window_extents_requires_horizon_after_origin():
