@@ -4,11 +4,28 @@ from __future__ import annotations
 
 import pytest
 
+from rlwindow import stream
 from rlwindow.ontology import parse_tbox
 from rlwindow.repair import add_abox_with_repair
 from rlwindow.stream import (ConceptAtom, MomentaryABox, Occurrence, RoleAtom,
                              Timestamp, WindowExtent, parse_stream)
 from rlwindow.window import WindowModel
+
+
+@pytest.fixture
+def extents_built(monkeypatch):
+    """The ends of the extents window_extents has built so far. Building a
+    fourth fails the test at once, so extents built ahead of use show fast
+    however many the horizon spans."""
+    built = []
+
+    def counted(start, end):
+        built.append(end)
+        assert len(built) <= 3, "window_extents built extents ahead of use"
+        return WindowExtent(start, end)
+
+    monkeypatch.setattr(stream, "WindowExtent", counted)
+    return built
 
 
 def ts(value):

@@ -445,7 +445,7 @@ class _StopAtSecondWindow(io.StringIO):
         return super().write(text)
 
 
-def test_run_prints_the_first_window_before_building_the_rest(files):
+def test_run_prints_the_first_window_before_building_the_rest(files, extents_built):
     # Ticks 2*10^7 units apart at width and slide 1 span 2*10^7 windows;
     # the first is printed before any later extent is built.
     tbox, stream = files("A < B\n", "0 A(a)\n20000000 A(b)\n")
@@ -455,6 +455,7 @@ def test_run_prints_the_first_window_before_building_the_rest(files):
     with pytest.raises(_Stopped):
         cli.run(config, out=out, err=io.StringIO())
     assert out.getvalue() == "WINDOW [-1, 0]\nA(a) @ {0}\nB(a) @ {0}\n\n"
+    assert extents_built == [ts(0), ts(1)]
 
 
 # -- bench ----------------------------------------------------------------------------
