@@ -80,8 +80,18 @@ FAULTS = [
     Fault("oracle_checks_the_first_window_only", CLI,
           "if config.check_oracle:", "if config.check_oracle and extent is first:"),
     Fault("min_join_strict", WINDOW,
-          "{x for x in a if x <= top_b}", "{x for x in a if x < top_b}", "equivalent",
-          "an x equal to max(b) is also a y of b at most max(a), so the union keeps it"),
+          "if y <= top_a:", "if y < top_a:", "equivalent",
+          "a y equal to the copied operand's max is in that operand, so the copy holds it"),
+    # The semi-naive round: min-join, delta tables, conjunctions, consequences.
+    Fault("min_join_copies_the_larger_side", WINDOW,
+          "if top_b < top_a:", "if top_b > top_a:"),
+    Fault("delta_inverse_not_swapped", WINDOW,
+          "return [(o, s, homes) for (s, o), homes in pairs]",
+          "return [(s, o, homes) for (s, o), homes in pairs]"),
+    Fault("fresh_parts_drop_earlier_terms", WINDOW,
+          "out = term if out is None else self.join(out, ann) | term", "out = term"),
+    Fault("consequence_filter_flipped", WINDOW,
+          "if present else ann.difference(have)", "if not present else ann.difference(have)"),
     # CLI exit paths and referee branches.
     Fault("engine_error_in_the_window_loop_escapes", CLI,
           "        return EXIT_ENGINE\n    return EXIT_OK", "        raise\n    return EXIT_OK"),

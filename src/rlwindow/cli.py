@@ -1,13 +1,14 @@
 """Command-line driver: the continuous run loop and a micro-benchmark.
 
 Exit statuses: 0 clean run, 1 oracle mismatch, 2 halted on an inconsistent
-window, 3 unreadable input, 4 malformed input, 5 internal engine refusal
-(budget or oracle cap).
+window, 3 unreadable input or standard output closed early, 4 malformed
+input, 5 internal engine refusal (budget or oracle cap).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import statistics
 import sys
 import time
@@ -262,6 +263,20 @@ def _timestamp_arg(text):
 
 
 def main(argv=None):
+    """Run the command line and return its exit status. A reader that closes
+    standard output early, as head does, ends the run with EXIT_IO."""
+    try:
+        status = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point standard output at the null device, so that the flush at
+        # interpreter exit cannot fail again with a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
+    return status
+
+
+def _main(argv):
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv[:1] == ["bench"]:
         p = argparse.ArgumentParser(prog="rlwindow bench")

@@ -240,11 +240,10 @@ def _overdelete(wm, removed, tbox):
     while frontier:
         probe = _Probe(wm._index, frontier)
         fresh = []
-        for atom, homes in probe.consequences(tbox):
-            have = wm.homes(atom)
+        for atom, homes in probe.consequences(tbox, True):
             for h in homes:
                 occ = Occurrence(atom, h)
-                if h in have and not wm.is_asserted(atom, h) and occ not in marked:
+                if occ not in marked and not wm.is_asserted(atom, h):
                     marked.add(occ)
                     fresh.append(occ)
         frontier = fresh

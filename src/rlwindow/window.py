@@ -19,14 +19,17 @@ Adding a momentary ABox runs a semi-naive fixpoint: each round only considers
 rule-body instantiations that use at least one occurrence added in the
 previous round, probing the rest of the body against the full index. A
 round's delta is the plain list of (atom, timestamp) pairs the previous
-round inserted. The round is _Probe, the engine's one rule-body evaluator,
-annotated with homes here and with instantiations, the atoms of each way to
-match a body, in conflict enumeration (repair._Instantiations). Each round
-also records where it instantiates a negative inclusion: add_abox raises
-for the first such clash, and repair enumerates conflicts at their bindings
-only. Without repair, a slide seeds one fixpoint with all of its fresh
-ticks when the TBox has no negative inclusion, and adds them tick by tick
-when it has one.
+round inserted, which the round keeps as plain tables of delta homes per
+concept and per role. The round is _Probe, the engine's one rule-body
+evaluator, annotated with homes here and with instantiations, the atoms of
+each way to match a body, in conflict enumeration (repair._Instantiations).
+Its one consequence walk serves the fixpoint, which inserts the homes the
+index lacks, and overdeletion (repair._overdelete), which marks the homes it
+holds. Each round also records where it instantiates a negative inclusion:
+add_abox raises for the first such clash, and repair enumerates conflicts
+at their bindings only. Without repair, a slide seeds one fixpoint with all
+of its fresh ticks when the TBox has no negative inclusion, and adds them
+tick by tick when it has one.
 """
 
 from __future__ import annotations
@@ -38,8 +41,7 @@ from operator import attrgetter, itemgetter
 
 from .errors import StaleTimestamp, UnexpectedInconsistency
 from .interpretation import Interpretation
-from .ontology import (ConceptInclusion, ConceptName, Conj, RoleInverse, RoleName,
-                       invert_role)
+from .ontology import ConceptInclusion, ConceptName, Conj, RoleInverse, RoleName
 from .stream import (Atom, ConceptAtom, Occurrence, RoleAtom, Timestamp,
                      WindowExtent)
 
@@ -87,19 +89,17 @@ class SlideReport:
 
 def _minjoin(a, b):
     """{min(x, y) for x in a for y in b}, for non-empty a and b, in linear
-    time: x is a minimum exactly when some y is at least x, that is when x
-    is at most max(b), and likewise for y."""
+    time. Every element of the operand whose max is smaller is a minimum,
+    paired with the other's max, so that operand is copied whole; an element
+    of the other is a minimum exactly when it is at most that max."""
     top_a, top_b = max(a), max(b)
-    return {x for x in a if x <= top_b} | {y for y in b if y <= top_a}
-
-
-def _merge(out, key, ann):
-    """Union a freshly built annotation into out[key]."""
-    have = out.get(key)
-    if have is None:
-        out[key] = ann
-    else:
-        have |= ann
+    if top_b < top_a:
+        a, b, top_a = b, a, top_b
+    out = set(a)
+    for y in b:
+        if y <= top_a:
+            out.add(y)
+    return out
 
 
 class OccurrenceIndex:
@@ -190,12 +190,6 @@ class OccurrenceIndex:
     def copy(self):
         return OccurrenceIndex(self.occurrences())
 
-    def role_matches(self, rexpr):
-        """(x, y, homes) for every pair of the index in the rexpr image."""
-        adj = self.rev if isinstance(rexpr, RoleInverse) else self.fwd
-        return [(x, y, homes) for x, by_y in adj.get(rexpr.name, {}).items()
-                for y, homes in by_y.items()]
-
     def role_neighbors(self, rexpr, x):
         """(y, homes) for every pair putting x in the rexpr image."""
         adj = self.fwd if isinstance(rexpr, RoleName) else self.rev
@@ -212,17 +206,18 @@ def _role_atom(rexpr, x, y):
 class _Probe:
     """One semi-naive round over an index that already holds the delta.
 
-    delta is an iterable of (atom, timestamp) pairs, which the probe indexes
-    for itself; a probe that never calls fresh passes ().
+    delta is an iterable of (atom, timestamp) pairs, which the probe keeps
+    as two plain tables of delta homes, concept -> {individual: homes} and
+    role -> {(subject, object): homes}; a probe that never calls fresh
+    passes ().
 
     at(expr, x) annotates the instantiations of expr at x over the whole
     index; fresh(expr) maps each x to the annotation of those that use a
     delta occurrence: a conjunction is the sum over its parts i of fresh
     part i x all of every other part, an existential fresh-role x filler
-    plus role x fresh-filler.
-    Both are memoized for the round on id(expr), since hashing a nested
-    expression walks all of it. fresh may repeat instantiations the index
-    already derives; callers deduplicate.
+    plus role x fresh-filler. Both are memoized for the round on id(expr),
+    since hashing a nested expression walks all of it. fresh may repeat
+    instantiations the index already derives; callers deduplicate.
 
     derivations(atom, tbox) annotates the one-step derivations of an atom
     over the whole index, for the backward check of rederivation and the
@@ -231,12 +226,24 @@ class _Probe:
 
     join and the two leaves are the annotation algebra; alternatives merge by
     union. Here a leaf is its home set, which must not be mutated, and join
-    is the min-join, so an annotation is a set of achievable homes.
+    is the min-join, so an annotation is a set of achievable homes. A join
+    returns a new set, which a merge may update in place.
     """
 
     def __init__(self, index, delta):
         self.index = index
-        self.delta = OccurrenceIndex(delta)
+        self.delta_concepts = {}
+        self.delta_roles = {}
+        for atom, ts in delta:
+            if isinstance(atom, ConceptAtom):
+                table, key = self.delta_concepts.setdefault(atom.concept, {}), atom.individual
+            else:
+                table, key = self.delta_roles.setdefault(atom.role, {}), (atom.subject, atom.obj)
+            homes = table.get(key)
+            if homes is None:
+                table[key] = {ts}
+            else:
+                homes.add(ts)
         self._at = {}
         self._fresh = {}
         self._derivations = {}
@@ -277,34 +284,112 @@ class _Probe:
             out = self.join(out, ann) if ann else set()
         return out
 
+    def _delta_pairs(self, rexpr):
+        """(x, y, delta homes) for each delta pair putting (x, y) in the
+        image of rexpr, whose role the delta holds."""
+        pairs = self.delta_roles[rexpr.name].items()
+        if isinstance(rexpr, RoleInverse):
+            return [(o, s, homes) for (s, o), homes in pairs]
+        return [(s, o, homes) for (s, o), homes in pairs]
+
     def fresh(self, expr):
         out = self._fresh.get(id(expr))
         if out is not None:
             return out
-        out = {}
         if isinstance(expr, ConceptName):
-            for x, homes in self.delta.concepts.get(expr.name, {}).items():
-                out[x] = self.concept_leaf(expr.name, x, homes)
+            hits = self.delta_concepts.get(expr.name)
+            out = {x: self.concept_leaf(expr.name, x, homes)
+                   for x, homes in hits.items()} if hits else {}
         elif isinstance(expr, Conj):
-            parts = expr.parts
-            for i, part in enumerate(parts):
-                hits = self.fresh(part)
-                others = parts[:i] + parts[i + 1:] if hits else ()
-                for x, ann in hits.items():
+            out = self._fresh_conj(expr.parts)
+        else:
+            out = {}
+            role, filler = expr.role, expr.filler
+            if role.name in self.delta_roles:
+                for x, y, homes in self._delta_pairs(role):
+                    ann = self.at(filler, y)
+                    if ann:
+                        ann = self.join(self.role_leaf(role, x, y, homes), ann)
+                        have = out.get(x)
+                        if have is None:
+                            out[x] = ann
+                        else:
+                            have |= ann
+            fillers = self.fresh(filler)
+            if fillers:
+                # The x with (x, y) in the role image: y's neighbours the other way.
+                index = self.index
+                back = (index.fwd if isinstance(role, RoleInverse)
+                        else index.rev).get(role.name, {})
+                for y, ann in fillers.items():
+                    for x, homes in back.get(y, {}).items():
+                        joined = self.join(self.role_leaf(role, x, y, homes), ann)
+                        have = out.get(x)
+                        if have is None:
+                            out[x] = joined
+                        else:
+                            have |= joined
+        self._fresh[id(expr)] = out
+        return out
+
+    def _fresh_conj(self, parts):
+        """fresh of the conjunction of parts. An x fresh in one part joins
+        that part's annotation with the other parts at x, in order; an x
+        fresh in several goes through _fresh_at."""
+        maps = list(map(self.fresh, parts))
+        live = list(filter(None, maps))
+        if not live:
+            return {}
+        shared = set()
+        if len(live) > 1:
+            seen = set()
+            for found in live:
+                shared.update(seen.intersection(found))
+                seen.update(found)
+        out = {}
+        for i, found in enumerate(maps):
+            others = parts[:i] + parts[i + 1:] if found else ()
+            for x, ann in found.items():
+                if x not in shared:
                     other = self._join_at(others, x)
                     if other:
-                        _merge(out, x, self.join(ann, other))
-        else:
-            role = expr.role
-            for x, y, homes in self.delta.role_matches(role):
-                filler = self.at(expr.filler, y)
-                if filler:
-                    _merge(out, x, self.join(self.role_leaf(role, x, y, homes), filler))
-            inverse = invert_role(role)
-            for y, ann in self.fresh(expr.filler).items():
-                for x, homes in self.index.role_neighbors(inverse, y):
-                    _merge(out, x, self.join(self.role_leaf(role, x, y, homes), ann))
-        self._fresh[id(expr)] = out
+                        out[x] = self.join(ann, other)
+        for x in sorted(shared):
+            ann = self._fresh_at(parts, maps, x)
+            if ann:
+                out[x] = ann
+        return out
+
+    def _fresh_at(self, parts, maps, x):
+        """fresh of the conjunction of parts at x, maps[k] holding fresh of
+        part k, in one walk over the parts; empty once some part is at x.
+        out sums the terms of the fresh parts so far, each joined with every
+        later part. A fresh part's term joins its annotation with before,
+        the join of the parts before it; held lists the parts since the
+        first fresh one, which join into before only when another fresh part
+        needs them. So the terms share their prefix joins, and n parts cost
+        fewer than 4n joins however many of them are fresh."""
+        before = out = None
+        held = []
+        for part, found in zip(parts, maps):
+            new = found.get(x)
+            if new is None or out is not None:
+                ann = self.at(part, x)
+                if not ann:
+                    return set()
+            if new is not None:
+                for p in held:
+                    prev = self.at(p, x)
+                    before = prev if before is None else self.join(before, prev)
+                held = []
+                term = new if before is None else self.join(before, new)
+                out = term if out is None else self.join(out, ann) | term
+            elif out is not None:
+                out = self.join(out, ann)
+            if out is None:
+                before = ann if before is None else self.join(before, ann)
+            else:
+                held.append(part)
         return out
 
     def derivations(self, atom, tbox):
@@ -326,16 +411,33 @@ class _Probe:
         self._derivations[atom] = out
         return out
 
-    def consequences(self, tbox):
-        """(head atom, annotation) for the instantiations of the positive
-        axioms that use a delta occurrence."""
+    def consequences(self, tbox, present):
+        """(head atom, homes) for the instantiations of the positive axioms
+        that use a delta occurrence, keeping of their homes those the index
+        holds for the atom when present is true and those it lacks
+        otherwise; an atom with no home kept is left out, and one that two
+        axioms derive may appear twice. Each axiom reads its head's home
+        table once, and a head atom is built only for a kept home. The list
+        is complete before the caller writes to the index."""
+        index, out = self.index, []
         for ax in tbox.positive_axioms:
             if isinstance(ax, ConceptInclusion):
-                for x, ann in self.fresh(ax.body).items():
-                    yield ConceptAtom(ax.head, x), ann
-            else:
-                for x, y, homes in self.delta.role_matches(ax.sub):
-                    yield RoleAtom(ax.sup.name, x, y), self.role_leaf(ax.sub, x, y, homes)
+                hits = self.fresh(ax.body)
+                if hits:
+                    head, table = ax.head, index.concepts.get(ax.head, {})
+                    for x, ann in hits.items():
+                        have = table.get(x, ())
+                        kept = ann.intersection(have) if present else ann.difference(have)
+                        if kept:
+                            out.append((ConceptAtom(head, x), kept))
+            elif ax.sub.name in self.delta_roles:
+                role, table = ax.sup.name, index.fwd.get(ax.sup.name, {})
+                for x, y, homes in self._delta_pairs(ax.sub):
+                    have = table.get(x, {}).get(y, ())
+                    kept = homes.intersection(have) if present else homes.difference(have)
+                    if kept:
+                        out.append((RoleAtom(role, x, y), kept))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +574,11 @@ class WindowModel:
                 hit = probe.fresh(ax.body)
                 if hit:
                     clashes.extend((ax, x) for x in sorted(hit))
-            additions = []
-            for atom, homes in probe.consequences(tbox):
-                have = self._index.homes(atom)
-                additions.extend((atom, h) for h in homes if h not in have)
-            delta = [(atom, h) for atom, h in additions if self._insert(atom, h)]
+            delta = []
+            for atom, homes in probe.consequences(tbox, False):
+                for h in homes:
+                    if self._insert(atom, h):
+                        delta.append((atom, h))
             inserted += len(delta)
         return inserted, clashes
 
@@ -572,7 +674,7 @@ class WindowModel:
             entries = journal[start:]
         return SlideReport(
             extent=new_extent,
-            added_occurrences=sum(added for _, _, added in entries),
+            added_occurrences=sum(map(itemgetter(2), entries)),
             expired_occurrences=expired,
             removals=tuple(sorted(removals, key=attrgetter("sort_key"))),
-            changed=frozenset(atom for atom, _, _ in entries))
+            changed=frozenset(map(itemgetter(0), entries)))

@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -248,6 +252,25 @@ def test_missing_file_reports_io_failure(files, capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_a_reader_closing_early_ends_the_run_with_status_3(files):
+    # About 1 MB of windows, far more than a pipe holds, so the run is still
+    # writing when the reader closes after the first line.
+    tbox, stream = files("A < B\n", "".join(f"{t} A(x{i})\n" for t in range(100)
+                                             for i in range(20)))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rlwindow.cli", "--tbox", tbox, "--stream", stream,
+         "--width", "10", "--slide", "1", "--origin", "10"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (first, proc.wait(timeout=120), err) == (b"WINDOW [0, 10]\n", 3, b"")
 
 
 def test_malformed_stream_reports_parse_failure(files, capsys):

@@ -7,16 +7,18 @@ from hypothesis import strategies as st
 
 from conftest import (WORKED_TBOX_TEXT, atoms_of, box, build_window, catom, ext, occ,
                       ratom, ts)
+from rlwindow import window
 from rlwindow.errors import EngineError, StaleTimestamp, UnexpectedInconsistency
 from rlwindow.interpretation import (canonical_model, direct_sum, eval_concept,
                                      eval_role, satisfies, standard_interpretation)
 from rlwindow.oracle import naive_window_materialization
-from rlwindow.ontology import RoleInverse, RoleName, format_axiom, parse_tbox
+from rlwindow.ontology import (ConceptName, Conj, Exists, RoleInverse, RoleName, canonicalize,
+                               format_axiom, parse_tbox)
 from rlwindow.repair import add_abox_with_repair
 from rlwindow.stream import (ConceptAtom, Occurrence, RoleAtom, Timestamp, WindowSpec,
                              window_extents)
 from rlwindow.synth import random_stream, random_tbox
-from rlwindow.window import OccurrenceIndex, WindowModel, _minjoin
+from rlwindow.window import OccurrenceIndex, WindowModel, _minjoin, _Probe, _role_atom
 
 
 def homes_text(wm, atom):
@@ -95,9 +97,6 @@ def test_index_agrees_with_a_plain_occurrence_set(calls):
                      if isinstance(a, RoleAtom) and a.role == name}
             for rexpr, image in ((RoleName(name), pairs),
                                  (RoleInverse(name), {(o, s): h for (s, o), h in pairs.items()})):
-                matches = index.role_matches(rexpr)
-                assert len(matches) == len(image)
-                assert {(x, y): h for x, y, h in matches} == image
                 for x in "abc":
                     assert dict(index.role_neighbors(rexpr, x)) == {
                         y: h for (x2, y), h in image.items() if x2 == x}
@@ -611,6 +610,93 @@ def test_minjoin_is_the_pairwise_minimum(a, b):
     a = {Timestamp(x) for x in a}
     b = {Timestamp(y) for y in b}
     assert _minjoin(a, b) == {min(x, y) for x in a for y in b}
+
+
+# -- fresh instantiations ------------------------------------------------------
+
+class _Flagged(_Probe):
+    """The referee of fresh: the evaluator annotating each instantiation
+    with its home and whether it uses a delta occurrence, carried through
+    at over the whole index (fresh is not used)."""
+
+    def __init__(self, index, delta):
+        super().__init__(index, ())
+        self.used = set(delta)
+
+    def join(self, a, b):
+        return {(min(h, k), u or v) for h, u in a for k, v in b}
+
+    def concept_leaf(self, name, x, homes):
+        return {(h, (ConceptAtom(name, x), h) in self.used) for h in homes}
+
+    def role_leaf(self, rexpr, x, y, homes):
+        atom = _role_atom(rexpr, x, y)
+        return {(h, (atom, h) in self.used) for h in homes}
+
+
+_FLAG_NODES = st.sampled_from("ab")
+# (occurrence, in the delta) pairs: atoms with one to three homes each, so
+# that an atom often has a delta home and an older one outside the delta.
+_FLAG_DRAWS = st.lists(
+    st.tuples(st.one_of(st.builds(catom, st.sampled_from("AB"), _FLAG_NODES),
+                        st.builds(ratom, st.just("r"), _FLAG_NODES, _FLAG_NODES)),
+              st.lists(st.tuples(st.integers(0, 2), st.booleans()), min_size=1, max_size=3)),
+    max_size=8).map(lambda rows: [(occ(atom, t), flagged)
+                                  for atom, homes in rows for t, flagged in homes])
+_FLAG_ROLES = st.sampled_from([RoleName("r"), RoleInverse("r")])
+_FLAG_TERMS = st.recursive(
+    st.sampled_from("AB").map(ConceptName),
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=2, max_size=4).map(lambda parts: Conj(tuple(parts))),
+        st.builds(Exists, _FLAG_ROLES, inner)),
+    max_leaves=6)
+# Half the bodies are conjunctions at the top, where several parts are
+# most often fresh at one individual.
+_FLAG_BODIES = st.one_of(
+    _FLAG_TERMS,
+    st.lists(_FLAG_TERMS, min_size=2, max_size=4).map(lambda parts: Conj(tuple(parts)))
+).map(canonicalize)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FLAG_DRAWS, _FLAG_BODIES)
+@example([(occ(ratom("r", "a", "b"), 1), True), (occ(catom("A", "a"), 0), False),
+          (occ(catom("A", "b"), 2), True)],
+         Exists(RoleInverse("r"), ConceptName("A")))
+@example([(occ(catom("A", "a"), 2), True), (occ(catom("B", "a"), 0), False),
+          (occ(catom("B", "a"), 3), True)],
+         Conj((ConceptName("A"), ConceptName("B"))))
+@example([(occ(ratom("r", "a", "a"), 2), True), (occ(catom("A", "a"), 1), True),
+          (occ(catom("B", "a"), 0), True), (occ(catom("C", "a"), 3), False)],
+         canonicalize(Conj((ConceptName("A"), ConceptName("B"), ConceptName("C"),
+                            Exists(RoleInverse("r"), ConceptName("A"))))))
+def test_fresh_equals_the_flagged_instantiations_of_a_referee(drawn, body):
+    # The delta is the flagged part of the index; the plain delta tables
+    # swap a role pair for an inverse, so inverse roles and self-loops are
+    # drawn, and several parts of a conjunction may be fresh at one x.
+    index = OccurrenceIndex(o for o, _ in drawn)
+    delta = [o for o, flagged in drawn if flagged]
+    fresh, referee = _Probe(index, delta).fresh(body), _Flagged(index, delta)
+    for x in "ab":
+        assert fresh.get(x, set()) == {h for h, used in referee.at(body, x) if used}, x
+
+
+def test_a_conjunction_fresh_in_every_part_shares_its_joins(monkeypatch):
+    # n parts arriving at one binding: joining the other parts anew for each
+    # fresh part would take n(n - 1) min-joins.
+    n = 1200
+    names = [f"N{i}" for i in range(n)]
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return _minjoin(a, b)
+
+    monkeypatch.setattr(window, "_minjoin", counted)
+    wm = WindowModel(ext(0, 0)).add_abox(box(0, *(catom(name, "a") for name in names)),
+                                         parse_tbox(" & ".join(names) + " < B\n"))
+    assert homes_text(wm, catom("B", "a")) == ["0"]
+    assert len(calls) <= 4 * n
 
 
 @settings(max_examples=30, deadline=None)
