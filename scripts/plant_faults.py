@@ -89,7 +89,8 @@ FAULTS = [
           "return [(o, s, homes) for (s, o), homes in pairs]",
           "return [(s, o, homes) for (s, o), homes in pairs]"),
     Fault("fresh_parts_drop_earlier_terms", WINDOW,
-          "out = term if out is None else self.join(out, ann) | term", "out = term"),
+          "out = term if out is None else self.join(out, self.at(part, x)) | term",
+          "out = term"),
     Fault("consequence_filter_flipped", WINDOW,
           "if present else ann.difference(have)", "if not present else ann.difference(have)"),
     # CLI exit paths and referee branches.

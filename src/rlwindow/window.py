@@ -37,6 +37,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from operator import attrgetter, itemgetter
 
 from .errors import StaleTimestamp, UnexpectedInconsistency
@@ -333,28 +334,11 @@ class _Probe:
         return out
 
     def _fresh_conj(self, parts):
-        """fresh of the conjunction of parts. An x fresh in one part joins
-        that part's annotation with the other parts at x, in order; an x
-        fresh in several goes through _fresh_at."""
+        """fresh of the conjunction of parts: _fresh_at at each x fresh in
+        some part, taken in part order."""
         maps = list(map(self.fresh, parts))
-        live = list(filter(None, maps))
-        if not live:
-            return {}
-        shared = set()
-        if len(live) > 1:
-            seen = set()
-            for found in live:
-                shared.update(seen.intersection(found))
-                seen.update(found)
         out = {}
-        for i, found in enumerate(maps):
-            others = parts[:i] + parts[i + 1:] if found else ()
-            for x, ann in found.items():
-                if x not in shared:
-                    other = self._join_at(others, x)
-                    if other:
-                        out[x] = self.join(ann, other)
-        for x in sorted(shared):
+        for x in dict.fromkeys(chain.from_iterable(maps)):
             ann = self._fresh_at(parts, maps, x)
             if ann:
                 out[x] = ann
@@ -362,7 +346,7 @@ class _Probe:
 
     def _fresh_at(self, parts, maps, x):
         """fresh of the conjunction of parts at x, maps[k] holding fresh of
-        part k, in one walk over the parts; empty once some part is at x.
+        part k, in one walk over the parts; empty once some part is empty at x.
         out sums the terms of the fresh parts so far, each joined with every
         later part. A fresh part's term joins its annotation with before,
         the join of the parts before it; held lists the parts since the
@@ -373,23 +357,23 @@ class _Probe:
         held = []
         for part, found in zip(parts, maps):
             new = found.get(x)
-            if new is None or out is not None:
+            if new is None:
                 ann = self.at(part, x)
                 if not ann:
                     return set()
-            if new is not None:
+                if out is None:
+                    before = ann if before is None else self.join(before, ann)
+                    continue
+                out = self.join(out, ann)
+            else:
                 for p in held:
                     prev = self.at(p, x)
                     before = prev if before is None else self.join(before, prev)
                 held = []
                 term = new if before is None else self.join(before, new)
-                out = term if out is None else self.join(out, ann) | term
-            elif out is not None:
-                out = self.join(out, ann)
-            if out is None:
-                before = ann if before is None else self.join(before, ann)
-            else:
-                held.append(part)
+                # A part fresh at x is not empty at x.
+                out = term if out is None else self.join(out, self.at(part, x)) | term
+            held.append(part)
         return out
 
     def derivations(self, atom, tbox):
