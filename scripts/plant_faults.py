@@ -44,6 +44,7 @@ class Fault(NamedTuple):
 STREAM = "src/rlwindow/stream.py"
 WINDOW = "src/rlwindow/window.py"
 CLI = "src/rlwindow/cli.py"
+ONTOLOGY = "src/rlwindow/ontology.py"
 ORACLE = "src/rlwindow/oracle.py"
 
 FAULTS = [
@@ -93,6 +94,21 @@ FAULTS = [
           "out = term"),
     Fault("consequence_filter_flipped", WINDOW,
           "if present else ann.difference(have)", "if not present else ann.difference(have)"),
+    # The TBox reader: tokens, nesting, end checks, reserved names.
+    Fault("some_wraps_the_whole_conjunction", ONTOLOGY,
+          "term = parts[0] if len(parts) == 1 else Conj(tuple(parts))",
+          "term = parts[0] if len(parts) == 1 else Conj(tuple(parts)) "
+          "if not isinstance(parts[0], Exists) "
+          "else Exists(parts[0].role, Conj((parts[0].filler, *parts[1:])))"),
+    Fault("missing_parenthesis_accepted_at_the_end", ONTOLOGY,
+          '            tk.next(")")',
+          '            if tk.peek()[0] is not None:\n                tk.next(")")'),
+    Fault("bot_skips_its_end_check", ONTOLOGY,
+          'tk.end("bot")', "pass"),
+    Fault("unexpected_character_column_off_by_one", ONTOLOGY,
+          "col=m.start() + 1)", "col=m.start())"),
+    Fault("reserved_name_accepted_inside_inv", ONTOLOGY,
+          "if inner in _RESERVED:", "if False:"),
     # CLI exit paths and referee branches.
     Fault("engine_error_in_the_window_loop_escapes", CLI,
           "        return EXIT_ENGINE\n    return EXIT_OK", "        raise\n    return EXIT_OK"),

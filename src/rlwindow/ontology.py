@@ -16,8 +16,11 @@ import re
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, ParseError, RLViolation
+from .stream import _NAME
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# A name, a punctuation mark, or (no group matched) an unexpected character;
+# whitespace matches nothing and is skipped.
+_TOKEN_RE = re.compile(rf"({_NAME})|([&<.()])|\S")
 _RESERVED = {"bot", "some", "inv"}
 
 
@@ -188,21 +191,10 @@ class _Tokens:
     def __init__(self, line_text, lineno):
         self.lineno = lineno
         self.toks = []  # (kind, value, col)
-        i = 0
-        while i < len(line_text):
-            ch = line_text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch in "&<.()":
-                self.toks.append((ch, ch, i + 1))
-                i += 1
-                continue
-            m = _NAME_RE.match(line_text, i)
-            if not m:
-                raise ParseError(f"unexpected character {ch!r}", line=lineno, col=i + 1)
-            self.toks.append(("NAME", m.group(0), i + 1))
-            i = m.end()
+        for m in _TOKEN_RE.finditer(line_text):
+            if m.lastindex is None:
+                raise ParseError(f"unexpected character {m[0]!r}", line=lineno, col=m.start() + 1)
+            self.toks.append(("NAME" if m.lastindex == 1 else m[0], m[0], m.start() + 1))
         self.pos = 0
 
     def peek(self):
@@ -217,9 +209,10 @@ class _Tokens:
         self.pos += 1
         return kind, value, col
 
-    @property
-    def done(self):
-        return self.pos >= len(self.toks)
+    def end(self, what):
+        if self.pos < len(self.toks):
+            raise ParseError(f"trailing input after {what}", line=self.lineno,
+                             col=self.toks[self.pos][2])
 
 
 def _parse_role(tk):
@@ -236,71 +229,67 @@ def _parse_role(tk):
     return RoleName(value)
 
 
-def _parse_term(tk):
-    kind, value, col = tk.peek()
-    if kind == "(":
-        tk.next("(")
-        inner = _parse_concept(tk)
-        tk.next(")")
-        return inner
-    kind, value, col = tk.next("NAME")
-    if value == "some":
-        role = _parse_role(tk)
-        tk.next(".")
-        return Exists(role, _parse_term(tk))
-    if value == "inv":
-        tk.pos -= 1
-        raise ParseError("inv(...) is a role, not a concept", line=tk.lineno, col=col)
-    if value in _RESERVED:
-        raise ParseError(f"{value!r} is reserved", line=tk.lineno, col=col)
-    return ConceptName(value)
-
-
 def _parse_concept(tk):
-    parts = [_parse_term(tk)]
-    while tk.peek()[0] == "&":
-        tk.next("&")
-        parts.append(_parse_term(tk))
-    return parts[0] if len(parts) == 1 else Conj(tuple(parts))
+    """One loop over the terms. The stack holds, innermost last, the parts
+    of each open parenthesis (the whole concept at the bottom) and each
+    `some` role still waiting for its filler, so nesting costs no frames."""
+    stack = [[]]
+    while True:
+        if tk.peek()[0] == "(":
+            tk.next("(")
+            stack.append([])
+            continue
+        _, value, col = tk.next("NAME")
+        if value == "some":
+            stack.append(_parse_role(tk))
+            tk.next(".")
+            continue
+        if value == "inv":
+            raise ParseError("inv(...) is a role, not a concept", line=tk.lineno, col=col)
+        if value in _RESERVED:
+            raise ParseError(f"{value!r} is reserved", line=tk.lineno, col=col)
+        term = ConceptName(value)
+        while True:
+            while not isinstance(stack[-1], list):
+                term = Exists(stack.pop(), term)
+            stack[-1].append(term)
+            if tk.peek()[0] == "&":
+                tk.next("&")
+                break
+            parts = stack.pop()
+            term = parts[0] if len(parts) == 1 else Conj(tuple(parts))
+            if not stack:
+                return term
+            tk.next(")")
 
 
 def _parse_axiom_line(line_text, lineno):
     tk = _Tokens(line_text, lineno)
-
-    # Role inclusion when either side starts with inv(
-    lhs_is_inv = tk.peek()[1] == "inv"
-    if lhs_is_inv:
+    # A role inclusion when either side starts with inv(
+    if tk.peek()[1] == "inv":
         sub = _parse_role(tk)
         tk.next("<")
-        sup = _parse_role(tk)
-        if not tk.done:
-            raise ParseError("trailing input after role inclusion", line=lineno,
-                             col=tk.peek()[2])
-        return RoleInclusion(sub, sup)
-
-    body = _parse_concept(tk)
-    tk.next("<")
-    kind, value, col = tk.peek()
-    if kind == "NAME" and value == "inv":
+    else:
+        body = _parse_concept(tk)
+        tk.next("<")
+        _, value, col = tk.peek()
+        if value == "bot":
+            tk.next()
+            tk.end("bot")
+            return NegativeInclusion(body)
+        if value != "inv":
+            head = _parse_concept(tk)
+            tk.end("axiom")
+            if not isinstance(head, ConceptName):
+                raise RLViolation("inclusion head must be a single concept name", line=lineno)
+            return ConceptInclusion(body, head.name)
         # NAME < inv(Q): the left side must be a bare name acting as a role
         if not isinstance(body, ConceptName):
             raise ParseError("role inclusion needs a role on the left", line=lineno, col=col)
-        sup = _parse_role(tk)
-        if not tk.done:
-            raise ParseError("trailing input after role inclusion", line=lineno,
-                             col=tk.peek()[2])
-        return RoleInclusion(RoleName(body.name), sup)
-    if kind == "NAME" and value == "bot":
-        tk.next()
-        if not tk.done:
-            raise ParseError("trailing input after bot", line=lineno, col=tk.peek()[2])
-        return NegativeInclusion(body)
-    head = _parse_concept(tk)
-    if not tk.done:
-        raise ParseError("trailing input after axiom", line=lineno, col=tk.peek()[2])
-    if not isinstance(head, ConceptName):
-        raise RLViolation("inclusion head must be a single concept name", line=lineno)
-    return ConceptInclusion(body, head.name)
+        sub = RoleName(body.name)
+    sup = _parse_role(tk)
+    tk.end("role inclusion")
+    return RoleInclusion(sub, sup)
 
 
 def parse_tbox(text):
@@ -397,7 +386,10 @@ def _substitution_pass(frontier, known, tbox, limit):
     return fresh
 
 
-def unfold_negative_inclusions(tbox, max_depth, body_cap=10_000):
+BODY_CAP = 10_000  # bodies one negative inclusion may rewrite into
+
+
+def unfold_negative_inclusions(tbox, max_depth):
     """Rewrite each negative inclusion into a set of bodies that can be
     matched against asserted atoms alone.
 
@@ -407,7 +399,7 @@ def unfold_negative_inclusions(tbox, max_depth, body_cap=10_000):
     the unreplaced form as well since the name may also be asserted directly.
     When a substitution pass adds nothing new the set is closed; if max_depth
     passes still produce new bodies for some inclusion the result is not
-    exact and deeper derivations can escape detection. More than body_cap
+    exact and deeper derivations can escape detection. More than BODY_CAP
     bodies for one inclusion raises BudgetExceeded, as soon as a kept pass
     reaches that many.
     """
@@ -422,7 +414,7 @@ def unfold_negative_inclusions(tbox, max_depth, body_cap=10_000):
             # is discarded.
             peek = rounds == max_depth
             fresh = _substitution_pass(frontier, known, tbox,
-                                       1 if peek else body_cap + 1 - len(bodies))
+                                       1 if peek else BODY_CAP + 1 - len(bodies))
             if not fresh:
                 break
             if peek:
@@ -430,8 +422,8 @@ def unfold_negative_inclusions(tbox, max_depth, body_cap=10_000):
                 break
             bodies.extend(fresh)
             frontier = fresh
-            if len(bodies) > body_cap:
+            if len(bodies) > BODY_CAP:
                 raise BudgetExceeded(
-                    f"negative inclusion rewrite exceeded {body_cap} bodies")
+                    f"negative inclusion rewrite exceeded {BODY_CAP} bodies")
         found.update(dict.fromkeys(bodies))
     return NormalizedTBox(tuple(sorted(found, key=struct_key)), is_exact)

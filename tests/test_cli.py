@@ -349,6 +349,26 @@ def test_a_body_of_1200_conjuncts_runs(files, capsys, repair):
     assert out.endswith("Z(b) @ {1}\n\n")
 
 
+def _deep_run(files, capsys, tbox, stream):
+    tbox, stream = files(tbox, stream)
+    return run_main(["--tbox", tbox, "--stream", stream, "--width", "1", "--slide", "1",
+                     "--origin", "0", "--repair", "--check-oracle"], capsys)
+
+
+def test_a_body_in_1000_parentheses_reads_like_the_bare_name(files, capsys):
+    deep = "(" * 1000 + "A" + ")" * 1000
+    got = _deep_run(files, capsys, f"{deep} < B\n", "0 A(a)\n")
+    assert got == _deep_run(files, capsys, "A < B\n", "0 A(a)\n")
+    assert got == (0, "WINDOW [-1, 0]\nA(a) @ {0}\nB(a) @ {0}\n\n", "")
+
+
+def test_a_body_800_existentials_deep_runs(files, capsys):
+    code, out, err = _deep_run(files, capsys, "some r . " * 800 + "A < B\n",
+                               "0 A(a)\n0 C(a)\n0 r(a,a)\n")
+    assert (code, err) == (0, "")
+    assert out == "WINDOW [-1, 0]\nA(a) @ {0}\nB(a) @ {0}\nC(a) @ {0}\nr(a,a) @ {0}\n\n"
+
+
 def test_usage_errors_follow_argparse_convention(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])

@@ -1,7 +1,10 @@
+import re
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rlwindow import ontology
 from rlwindow.errors import BudgetExceeded, ParseError, RLViolation
 from rlwindow.ontology import (ConceptInclusion, ConceptName, Conj, Exists,
                                NegativeInclusion, RoleInclusion, RoleInverse,
@@ -77,13 +80,14 @@ def test_malformed_lines_report_position():
     with pytest.raises(ParseError) as e:
         parse_tbox("A < B\nA &\n")
     assert e.value.line == 2
-    with pytest.raises(ParseError):
-        parse_tbox("A ! B")
-    with pytest.raises(ParseError):
-        parse_tbox("(A & B < C")
-    with pytest.raises(ParseError):
-        parse_tbox("A < B C")
     for text, message in [
+            ("A ! B", "unexpected character '!' at line 1, col 3"),
+            ("(A & B < C", "expected ')', got '<' at line 1, col 8"),
+            ("A < (B", "unexpected end of line at line 1"),
+            ("A < B C", "trailing input after axiom at line 1, col 7"),
+            ("A) < B", "expected '<', got ')' at line 1, col 2"),
+            ("A <", "unexpected end of line at line 1"),
+            ("some r A < B", "expected '.', got 'A' at line 1, col 8"),
             ("inv(some) < inv(Q)", "'some' is reserved at line 1, col 5"),
             ("some bot . A < B", "'bot' is reserved at line 1, col 6"),
             ("A & inv(P) < B", "inv(...) is a role, not a concept at line 1, col 5"),
@@ -94,6 +98,168 @@ def test_malformed_lines_report_position():
         with pytest.raises(ParseError) as e:
             parse_tbox(text)
         assert str(e.value) == message, text
+    with pytest.raises(RLViolation) as e:
+        parse_tbox("A < B & C")
+    assert str(e.value) == "inclusion head must be a single concept name at line 1"
+
+
+def test_parentheses_nest_past_the_recursion_limit():
+    deep = "(" * 5000 + "A & some r . (B)" + ")" * 5000
+    assert parse_tbox(deep + " < C") == parse_tbox("A & some r . B < C")
+    assert parse_tbox("(" * 5000 + "A" + ")" * 5000 + " < inv(Q)").role_inclusions == (
+        RoleInclusion(RoleInverse("A"), RoleName("Q")),)
+    with pytest.raises(ParseError) as e:
+        parse_tbox(deep[:-1] + " < C")
+    assert str(e.value) == f"expected ')', got '<' at line 1, col {len(deep) + 1}"
+
+
+# -- the reader against an independent reference ------------------------------
+#
+# The character-loop reader that the token-pattern reader replaced, kept
+# here as a referee: a recursive descent over tokens found one character at
+# a time, with its own name pattern and its own end checks.
+
+_REF_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_REF_RESERVED = {"bot", "some", "inv"}
+
+
+class _RefTokens:
+    def __init__(self, line_text, lineno):
+        self.lineno = lineno
+        self.toks = []  # (kind, value, col)
+        i = 0
+        while i < len(line_text):
+            ch = line_text[i]
+            if ch.isspace():
+                i += 1
+                continue
+            if ch in "&<.()":
+                self.toks.append((ch, ch, i + 1))
+                i += 1
+                continue
+            m = _REF_NAME_RE.match(line_text, i)
+            if not m:
+                raise ParseError(f"unexpected character {ch!r}", line=lineno, col=i + 1)
+            self.toks.append(("NAME", m.group(0), i + 1))
+            i = m.end()
+        self.pos = 0
+
+    def peek(self):
+        return self.toks[self.pos] if self.pos < len(self.toks) else (None, None, None)
+
+    def next(self, expect=None):
+        kind, value, col = self.peek()
+        if kind is None:
+            raise ParseError("unexpected end of line", line=self.lineno)
+        if expect is not None and kind != expect:
+            raise ParseError(f"expected {expect!r}, got {value!r}", line=self.lineno, col=col)
+        self.pos += 1
+        return kind, value, col
+
+    @property
+    def done(self):
+        return self.pos >= len(self.toks)
+
+
+def _ref_parse_role(tk):
+    kind, value, col = tk.next("NAME")
+    if value == "inv":
+        tk.next("(")
+        _, inner, icol = tk.next("NAME")
+        if inner in _REF_RESERVED:
+            raise ParseError(f"{inner!r} is reserved", line=tk.lineno, col=icol)
+        tk.next(")")
+        return RoleInverse(inner)
+    if value in _REF_RESERVED:
+        raise ParseError(f"{value!r} is reserved", line=tk.lineno, col=col)
+    return RoleName(value)
+
+
+def _ref_parse_term(tk):
+    kind, value, col = tk.peek()
+    if kind == "(":
+        tk.next("(")
+        inner = _ref_parse_concept(tk)
+        tk.next(")")
+        return inner
+    kind, value, col = tk.next("NAME")
+    if value == "some":
+        role = _ref_parse_role(tk)
+        tk.next(".")
+        return Exists(role, _ref_parse_term(tk))
+    if value == "inv":
+        raise ParseError("inv(...) is a role, not a concept", line=tk.lineno, col=col)
+    if value in _REF_RESERVED:
+        raise ParseError(f"{value!r} is reserved", line=tk.lineno, col=col)
+    return ConceptName(value)
+
+
+def _ref_parse_concept(tk):
+    parts = [_ref_parse_term(tk)]
+    while tk.peek()[0] == "&":
+        tk.next("&")
+        parts.append(_ref_parse_term(tk))
+    return parts[0] if len(parts) == 1 else Conj(tuple(parts))
+
+
+def _ref_parse_axiom_line(line_text, lineno):
+    tk = _RefTokens(line_text, lineno)
+    if tk.peek()[1] == "inv":
+        sub = _ref_parse_role(tk)
+        tk.next("<")
+        sup = _ref_parse_role(tk)
+        if not tk.done:
+            raise ParseError("trailing input after role inclusion", line=lineno,
+                             col=tk.peek()[2])
+        return RoleInclusion(sub, sup)
+    body = _ref_parse_concept(tk)
+    tk.next("<")
+    kind, value, col = tk.peek()
+    if kind == "NAME" and value == "inv":
+        if not isinstance(body, ConceptName):
+            raise ParseError("role inclusion needs a role on the left", line=lineno, col=col)
+        sup = _ref_parse_role(tk)
+        if not tk.done:
+            raise ParseError("trailing input after role inclusion", line=lineno,
+                             col=tk.peek()[2])
+        return RoleInclusion(RoleName(body.name), sup)
+    if kind == "NAME" and value == "bot":
+        tk.next()
+        if not tk.done:
+            raise ParseError("trailing input after bot", line=lineno, col=tk.peek()[2])
+        return NegativeInclusion(body)
+    head = _ref_parse_concept(tk)
+    if not tk.done:
+        raise ParseError("trailing input after axiom", line=lineno, col=tk.peek()[2])
+    if not isinstance(head, ConceptName):
+        raise RLViolation("inclusion head must be a single concept name", line=lineno)
+    return ConceptInclusion(body, head.name)
+
+
+def _outcome(read):
+    """What a reader makes of one line: its axioms, or its exception's type,
+    message, line and column."""
+    try:
+        return read()
+    except ParseError as e:
+        return type(e), str(e), e.line, e.col
+
+
+_LINE_TOKENS = ["A", "B", "r", "some", "inv", "bot", "(", ")", "&", "<", ".", " ",
+                "\t", "1", "!", "\u00e9", "inv(", "inv(r)", "some r ."]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_LINE_TOKENS), min_size=1, max_size=12).map("".join))
+@example("some r . (A & B) & C < D")
+@example("((A)) < B")
+@example("(A & B < C")
+def test_the_reader_agrees_with_a_character_loop_reference(line):
+    def reference():
+        stripped = line.strip()
+        return TBox([_ref_parse_axiom_line(stripped, 1)] if stripped else []).axioms
+
+    assert _outcome(lambda: parse_tbox(line).axioms) == _outcome(reference)
 
 
 def test_duplicate_axioms_collapse():
@@ -246,13 +412,15 @@ def test_unfold_multiple_definitions_multiply():
     }
 
 
-def test_unfold_budget():
+def test_unfold_budget(monkeypatch):
     # Eight independent two-way choices multiply out well past a tiny cap.
     lines = [f"X{i} < Y{i}\nZ{i} < Y{i}" for i in range(8)]
     body = " & ".join(f"Y{i}" for i in range(8))
     tbox = parse_tbox("\n".join(lines) + f"\n{body} < bot")
-    with pytest.raises(BudgetExceeded):
-        unfold_negative_inclusions(tbox, 10, body_cap=50)
+    monkeypatch.setattr(ontology, "BODY_CAP", 50)
+    with pytest.raises(BudgetExceeded) as e:
+        unfold_negative_inclusions(tbox, 10)
+    assert str(e.value) == "negative inclusion rewrite exceeded 50 bodies"
 
 
 def test_unfold_monotone_in_depth():
