@@ -96,10 +96,24 @@ FAULTS = [
           "if present else ann.difference(have)", "if not present else ann.difference(have)"),
     # The TBox reader: tokens, nesting, end checks, reserved names.
     Fault("some_wraps_the_whole_conjunction", ONTOLOGY,
-          "term = parts[0] if len(parts) == 1 else Conj(tuple(parts))",
-          "term = parts[0] if len(parts) == 1 else Conj(tuple(parts)) "
-          "if not isinstance(parts[0], Exists) "
-          "else Exists(parts[0].role, Conj((parts[0].filler, *parts[1:])))"),
+          "return Conj(group)",
+          "return Conj(group) if not isinstance(group[0], Exists) "
+          "else Exists(group[0].role, Conj((group[0].filler, *group[1:])))"),
+    Fault("closed_group_replaces_the_enclosing_parts", ONTOLOGY,
+          "stack[-1] = stack[-1] + group if stack[-1] else group", "stack[-1] = group"),
+    Fault("head_name_count_off_by_one", ONTOLOGY,
+          'tk.toks[head_at:]) != 1:', 'tk.toks[head_at:]) not in (1, 2):'),
+    Fault("role_inclusion_left_name_count_off_by_one", ONTOLOGY,
+          'tk.toks[:head_at]) != 1:', 'tk.toks[:head_at]) not in (1, 2):'),
+    # Interned concept nodes: canonical as built, one live node per structure.
+    Fault("flattening_dropped", ONTOLOGY,
+          "(p.parts if isinstance(p, Conj) else (p,))", "(p,)"),
+    Fault("deduplication_dropped", ONTOLOGY,
+          "flat = dict.fromkeys(", "flat = list("),
+    Fault("role_inverse_flag_dropped_from_the_exists_key", ONTOLOGY,
+          "rk = (isinstance(role, RoleInverse), role.name)", "rk = (False, role.name)"),
+    Fault("live_node_table_holds_nodes_forever", ONTOLOGY,
+          "_LIVE = weakref.WeakValueDictionary()", "_LIVE = {}"),
     Fault("missing_parenthesis_accepted_at_the_end", ONTOLOGY,
           '            tk.next(")")',
           '            if tk.peek()[0] is not None:\n                tk.next(")")'),

@@ -9,9 +9,8 @@ from .interpretation import (Inconsistent, Interpretation, canonical_model,
                              standard_interpretation)
 from .ontology import (ConceptInclusion, ConceptName, Conj, Exists,
                        NegativeInclusion, NormalizedTBox, RoleInclusion,
-                       RoleInverse, RoleName, TBox, canonicalize, format_axiom,
-                       format_concept, format_tbox, parse_tbox,
-                       unfold_negative_inclusions)
+                       RoleInverse, RoleName, TBox, format_axiom, format_concept,
+                       format_tbox, parse_tbox, unfold_negative_inclusions)
 from .oracle import (OracleVerdict, cross_check, definitional_window_repair,
                      maximal_consistent_subsets, naive_window_materialization,
                      preferred_repairs)
@@ -29,8 +28,7 @@ __all__ = [
     "eval_concept", "eval_role", "satisfies", "standard_interpretation",
     "ConceptInclusion", "ConceptName", "Conj", "Exists", "NegativeInclusion",
     "NormalizedTBox", "RoleInclusion", "RoleInverse", "RoleName", "TBox",
-    "canonicalize", "format_axiom", "format_concept", "format_tbox",
-    "parse_tbox",
+    "format_axiom", "format_concept", "format_tbox", "parse_tbox",
     "unfold_negative_inclusions", "OracleVerdict", "cross_check",
     "definitional_window_repair", "maximal_consistent_subsets",
     "naive_window_materialization", "preferred_repairs", "ConflictSet",

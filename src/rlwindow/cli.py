@@ -70,9 +70,9 @@ class WindowLines:
         self.atoms = []
 
     def update(self, wm, changed):
-        line, atoms, label = self.line, self.atoms, self.labels.__getitem__
+        line, atoms, label, homes_of = self.line, self.atoms, self.labels.__getitem__, wm.homes
         for atom in changed:
-            homes = wm.homes(atom)
+            homes = homes_of(atom)
             if homes:
                 if atom not in line:
                     insort(atoms, atom)
@@ -155,8 +155,9 @@ def run(config, out=None, err=None):
                 lines.extend(f"REMOVED {rendered.labels[occ.timestamp]} {occ.atom}"
                              for occ in report.removals)
             else:
-                gone = sorted(a for a in report.changed if a in prev_atoms and not wm.homes(a))
-                new = sorted(a for a in report.changed if a not in prev_atoms and wm.homes(a))
+                homes_of = wm.homes
+                gone = sorted(a for a in report.changed if a in prev_atoms and not homes_of(a))
+                new = sorted(a for a in report.changed if a not in prev_atoms and homes_of(a))
                 lines.extend(f"- {a}" for a in gone)
                 lines.extend(f"+ {a}" for a in new)
                 prev_atoms.difference_update(gone)

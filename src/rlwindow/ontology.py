@@ -5,15 +5,17 @@ concept name, a concept body included in bottom, and a role (or inverse role)
 included in a role (or inverse role). Bodies are built from concept names,
 conjunction, and existential restrictions over possibly inverted roles.
 
-Expressions are kept in a canonical form, conjunctions flattened, sorted and
-deduplicated, double inverses stripped, so structural equality is semantic
-equality up to commutativity and idempotence of conjunction.
+Concept expressions are canonical as built and interned, one live node per
+structure, so identity is semantic equality up to commutativity and
+idempotence of conjunction.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import BudgetExceeded, ParseError, RLViolation
 from .stream import _NAME
@@ -53,52 +55,66 @@ def invert_role(role):
     return RoleName(role.name)
 
 
-@dataclass(frozen=True)
-class ConceptName:
-    name: str
+_LIVE = weakref.WeakValueDictionary()  # (class, fields) -> the one live node
+_KEY = attrgetter("key")
 
 
-@dataclass(frozen=True)
-class Conj:
-    """Canonically, two or more distinct parts, none a Conj, in struct_key order."""
+class _Node:
+    """A concept expression. A constructor returns the one live node of its
+    class and canonical fields, so equality is identity and a hash is O(1) at
+    any depth. key, built from the children's keys, orders nodes for sorting
+    conjunction parts: names, then existentials, then conjunctions."""
 
-    parts: tuple["ConceptExpr", ...]
+    __slots__ = ("key", "__weakref__")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self):
+        fields = ", ".join(repr(getattr(self, f)) for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Exists:
-    role: RoleExpr
-    filler: "ConceptExpr"
+def _interned(cls, ident, key, *fields):
+    node = _LIVE.get(ident)
+    if node is None:
+        node = _LIVE[ident] = object.__new__(cls)
+        object.__setattr__(node, "key", key)
+        for name, value in zip(cls.__slots__, fields):
+            object.__setattr__(node, name, value)
+    return node
+
+
+class ConceptName(_Node):
+    __slots__ = ("name",)
+
+    def __new__(cls, name):
+        return _interned(cls, (cls, name), (0, name), name)
+
+
+class Conj(_Node):
+    """Two or more distinct parts, none a Conj, in key order, however they
+    were given; a lone distinct part is returned as itself."""
+
+    __slots__ = ("parts",)
+
+    def __new__(cls, parts):
+        flat = dict.fromkeys(q for p in parts for q in (p.parts if isinstance(p, Conj) else (p,)))
+        parts = tuple(sorted(flat, key=_KEY))
+        if len(parts) == 1:
+            return parts[0]
+        return _interned(cls, (cls, parts), (2, tuple(map(_KEY, parts))), parts)
+
+
+class Exists(_Node):
+    __slots__ = ("role", "filler")
+
+    def __new__(cls, role, filler):
+        rk = (isinstance(role, RoleInverse), role.name)
+        return _interned(cls, (cls, rk, filler), (1, rk, filler.key), role, filler)
 
 
 ConceptExpr = ConceptName | Conj | Exists
-
-
-def struct_key(expr):
-    """Total structural order used for canonical sorting."""
-    if isinstance(expr, ConceptName):
-        return (0, expr.name)
-    if isinstance(expr, Exists):
-        rk = (0, expr.role.name) if isinstance(expr.role, RoleName) else (1, expr.role.name)
-        return (1, rk, struct_key(expr.filler))
-    return (2, tuple(struct_key(c) for c in expr.parts))
-
-
-def canonicalize(expr):
-    """Flatten nested conjunctions with a stack, canonicalize fillers, sort
-    and deduplicate the parts; a single part stands alone."""
-    parts, stack = [], [expr]
-    while stack:
-        c = stack.pop()
-        if isinstance(c, Conj):
-            stack.extend(c.parts)
-        elif isinstance(c, Exists):
-            parts.append(Exists(c.role, canonicalize(c.filler)))
-        else:
-            parts.append(c)
-    parts.sort(key=struct_key)
-    parts = [c for i, c in enumerate(parts) if i == 0 or c != parts[i - 1]]
-    return parts[0] if len(parts) == 1 else Conj(tuple(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -123,20 +139,14 @@ class RoleInclusion:
 
 
 def canonical_axiom(ax):
-    """Canonicalize bodies; normalize role inclusions so the superrole is a
-    plain name (inverting both sides leaves the axiom's meaning unchanged)."""
-    if isinstance(ax, ConceptInclusion):
-        return ConceptInclusion(canonicalize(ax.body), ax.head)
-    if isinstance(ax, NegativeInclusion):
-        return NegativeInclusion(canonicalize(ax.body))
-    sub, sup = ax.sub, ax.sup
-    if isinstance(sup, RoleInverse):
-        sub, sup = invert_role(sub), invert_role(sup)
-    return RoleInclusion(sub, sup)
+    """A role inclusion with a plain-name superrole (inverting both sides keeps its meaning)."""
+    if isinstance(ax, RoleInclusion) and isinstance(ax.sup, RoleInverse):
+        return RoleInclusion(invert_role(ax.sub), invert_role(ax.sup))
+    return ax
 
 
 class TBox:
-    """An ordered, duplicate-free collection of canonicalized axioms.
+    """An ordered, duplicate-free collection of canonical axioms.
 
     Order is kept for deterministic rule iteration; equality is by axiom set.
     The axioms are grouped once, on construction: by shape, into
@@ -147,16 +157,11 @@ class TBox:
     """
 
     def __init__(self, axioms):
-        seen = []
-        for ax in axioms:
-            ax = canonical_axiom(ax)
-            if ax not in seen:
-                seen.append(ax)
-        self.axioms = tuple(seen)
-        self.concept_inclusions = tuple(a for a in seen if isinstance(a, ConceptInclusion))
-        self.negative_inclusions = tuple(a for a in seen if isinstance(a, NegativeInclusion))
-        self.role_inclusions = tuple(a for a in seen if isinstance(a, RoleInclusion))
-        self.positive_axioms = tuple(a for a in seen if not isinstance(a, NegativeInclusion))
+        self.axioms = axioms = tuple(dict.fromkeys(map(canonical_axiom, axioms)))
+        self.concept_inclusions = tuple(a for a in axioms if isinstance(a, ConceptInclusion))
+        self.negative_inclusions = tuple(a for a in axioms if isinstance(a, NegativeInclusion))
+        self.role_inclusions = tuple(a for a in axioms if isinstance(a, RoleInclusion))
+        self.positive_axioms = tuple(a for a in axioms if not isinstance(a, NegativeInclusion))
         self.bodies, self.subroles = {}, {}
         for ax in self.concept_inclusions:
             self.bodies[ax.head] = self.bodies.get(ax.head, ()) + (ax.body,)
@@ -232,7 +237,10 @@ def _parse_role(tk):
 def _parse_concept(tk):
     """One loop over the terms. The stack holds, innermost last, the parts
     of each open parenthesis (the whole concept at the bottom) and each
-    `some` role still waiting for its filler, so nesting costs no frames."""
+    `some` role still waiting for its filler, so nesting costs no frames. A
+    closed group that goes straight into an enclosing conjunction adds its
+    parts there (an empty one takes the list), so left-nested groups build
+    one Conj, not one per group, and copy no list."""
     stack = [[]]
     while True:
         if tk.peek()[0] == "(":
@@ -248,18 +256,20 @@ def _parse_concept(tk):
             raise ParseError("inv(...) is a role, not a concept", line=tk.lineno, col=col)
         if value in _RESERVED:
             raise ParseError(f"{value!r} is reserved", line=tk.lineno, col=col)
-        term = ConceptName(value)
+        group = [ConceptName(value)]
         while True:
-            while not isinstance(stack[-1], list):
-                term = Exists(stack.pop(), term)
-            stack[-1].append(term)
+            if not isinstance(stack[-1], list):
+                term = Conj(group)
+                while not isinstance(stack[-1], list):
+                    term = Exists(stack.pop(), term)
+                group = [term]
+            stack[-1] = stack[-1] + group if stack[-1] else group
             if tk.peek()[0] == "&":
                 tk.next("&")
                 break
-            parts = stack.pop()
-            term = parts[0] if len(parts) == 1 else Conj(tuple(parts))
+            group = stack.pop()
             if not stack:
-                return term
+                return Conj(group)
             tk.next(")")
 
 
@@ -272,6 +282,7 @@ def _parse_axiom_line(line_text, lineno):
     else:
         body = _parse_concept(tk)
         tk.next("<")
+        head_at = tk.pos
         _, value, col = tk.peek()
         if value == "bot":
             tk.next()
@@ -280,11 +291,12 @@ def _parse_axiom_line(line_text, lineno):
         if value != "inv":
             head = _parse_concept(tk)
             tk.end("axiom")
-            if not isinstance(head, ConceptName):
+            # One NAME token: `B & B` builds to B, and is still no single name.
+            if sum(kind == "NAME" for kind, _, _ in tk.toks[head_at:]) != 1:
                 raise RLViolation("inclusion head must be a single concept name", line=lineno)
             return ConceptInclusion(body, head.name)
         # NAME < inv(Q): the left side must be a bare name acting as a role
-        if not isinstance(body, ConceptName):
+        if sum(kind == "NAME" for kind, _, _ in tk.toks[:head_at]) != 1:
             raise ParseError("role inclusion needs a role on the left", line=lineno, col=col)
         sub = RoleName(body.name)
     sup = _parse_role(tk)
@@ -375,9 +387,8 @@ def _substitution_pass(frontier, known, tbox, limit):
     """The new bodies of one substitution pass over the frontier, added to
     known, stopping once there are limit of them."""
     fresh = []
-    for b in sorted(frontier, key=struct_key):
+    for b in sorted(frontier, key=_KEY):
         for cand in _single_substitutions(b, tbox):
-            cand = canonicalize(cand)
             if cand not in known:
                 known.add(cand)
                 fresh.append(cand)
@@ -406,7 +417,7 @@ def unfold_negative_inclusions(tbox, max_depth):
     found = {}
     is_exact = True
     for neg in tbox.negative_inclusions:
-        bodies = [canonicalize(neg.body)]
+        bodies = [neg.body]
         known = set(bodies)
         frontier = list(bodies)
         for rounds in range(max_depth + 1):
@@ -426,4 +437,4 @@ def unfold_negative_inclusions(tbox, max_depth):
                 raise BudgetExceeded(
                     f"negative inclusion rewrite exceeded {BODY_CAP} bodies")
         found.update(dict.fromkeys(bodies))
-    return NormalizedTBox(tuple(sorted(found, key=struct_key)), is_exact)
+    return NormalizedTBox(tuple(sorted(found, key=_KEY)), is_exact)

@@ -6,7 +6,7 @@ import random
 
 from .ontology import (ConceptInclusion, ConceptName, Conj, Exists,
                        NegativeInclusion, RoleInclusion, RoleInverse,
-                       RoleName, TBox, canonicalize)
+                       RoleName, TBox)
 from .stream import ConceptAtom, MomentaryABox, RoleAtom, Timestamp
 
 
@@ -65,13 +65,10 @@ def random_tbox(seed, n_concepts=6, n_roles=3, n_axioms=8, n_negative=2,
         else:
             head = rng.choice(concepts)
             body_pool = concepts
-        body = canonicalize(_random_body(rng, body_pool, roles, max_depth))
-        axioms.append(ConceptInclusion(body, head))
+        axioms.append(ConceptInclusion(_random_body(rng, body_pool, roles, max_depth), head))
     for _ in range(n_negative):
-        body = canonicalize(Conj((
-            _random_body(rng, concepts, roles, 1),
-            _random_body(rng, concepts, roles, 1))))
-        axioms.append(NegativeInclusion(body))
+        axioms.append(NegativeInclusion(Conj((_random_body(rng, concepts, roles, 1),
+                                              _random_body(rng, concepts, roles, 1)))))
     return TBox(axioms)
 
 

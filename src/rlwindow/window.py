@@ -216,8 +216,8 @@ class _Probe:
     index; fresh(expr) maps each x to the annotation of those that use a
     delta occurrence: a conjunction is the sum over its parts i of fresh
     part i x all of every other part, an existential fresh-role x filler
-    plus role x fresh-filler. Both are memoized for the round on id(expr),
-    since hashing a nested expression walks all of it. fresh may repeat
+    plus role x fresh-filler. Both are memoized for the round on the node,
+    which is interned, so its hash costs O(1) at any depth. fresh may repeat
     instantiations the index already derives; callers deduplicate.
 
     derivations(atom, tbox) annotates the one-step derivations of an atom
@@ -259,7 +259,7 @@ class _Probe:
         return homes
 
     def at(self, expr, x):
-        key = (id(expr), x)
+        key = (expr, x)
         out = self._at.get(key)
         if out is not None:
             return out
@@ -294,7 +294,7 @@ class _Probe:
         return [(s, o, homes) for (s, o), homes in pairs]
 
     def fresh(self, expr):
-        out = self._fresh.get(id(expr))
+        out = self._fresh.get(expr)
         if out is not None:
             return out
         if isinstance(expr, ConceptName):
@@ -330,7 +330,7 @@ class _Probe:
                             out[x] = joined
                         else:
                             have |= joined
-        self._fresh[id(expr)] = out
+        self._fresh[expr] = out
         return out
 
     def _fresh_conj(self, parts):
@@ -461,8 +461,9 @@ class WindowModel:
 
     # -- occurrence bookkeeping ------------------------------------------
 
-    def homes(self, atom):
-        return self._index.homes(atom)
+    @property
+    def homes(self):
+        return self._index.homes
 
     def is_asserted(self, atom, ts):
         return atom in self._ticks.get(ts, ())

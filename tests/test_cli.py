@@ -369,6 +369,14 @@ def test_a_body_800_existentials_deep_runs(files, capsys):
     assert out == "WINDOW [-1, 0]\nA(a) @ {0}\nB(a) @ {0}\nC(a) @ {0}\nr(a,a) @ {0}\n\n"
 
 
+def test_a_chain_800_deep_under_a_negative_inclusion_runs(files, capsys):
+    # The rewrite puts the chain into B & C and keeps each candidate in a
+    # set: hashing an interned node does not walk the chain.
+    code, out, err = _deep_run(files, capsys, "some r . " * 800 + "A < B\nB & C < bot\n",
+                               "0 A(a)\n0 C(a)\n0 r(a,a)\n")
+    assert (code, err) == (0, "")
+
+
 def test_usage_errors_follow_argparse_convention(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])

@@ -1,3 +1,4 @@
+import gc
 import re
 
 import pytest
@@ -8,7 +9,7 @@ from rlwindow import ontology
 from rlwindow.errors import BudgetExceeded, ParseError, RLViolation
 from rlwindow.ontology import (ConceptInclusion, ConceptName, Conj, Exists,
                                NegativeInclusion, RoleInclusion, RoleInverse,
-                               RoleName, TBox, canonicalize, format_axiom,
+                               RoleName, TBox, format_axiom,
                                format_tbox, parse_tbox, unfold_negative_inclusions)
 from rlwindow.synth import random_tbox
 
@@ -98,9 +99,11 @@ def test_malformed_lines_report_position():
         with pytest.raises(ParseError) as e:
             parse_tbox(text)
         assert str(e.value) == message, text
-    with pytest.raises(RLViolation) as e:
-        parse_tbox("A < B & C")
-    assert str(e.value) == "inclusion head must be a single concept name at line 1"
+    # B & B builds to the node B, and is still no single name.
+    for text in ["A < B & C", "A < B & B", "A < (B & B)"]:
+        with pytest.raises(RLViolation) as e:
+            parse_tbox(text)
+        assert str(e.value) == "inclusion head must be a single concept name at line 1", text
 
 
 def test_parentheses_nest_past_the_recursion_limit():
@@ -113,11 +116,23 @@ def test_parentheses_nest_past_the_recursion_limit():
     assert str(e.value) == f"expected ')', got '<' at line 1, col {len(deep) + 1}"
 
 
+def test_a_some_chain_past_the_recursion_limit_reads():
+    # Each node is built once, from interned children, so no step of the
+    # build or of the TBox's deduplication walks the chain.
+    body = parse_tbox("some r . " * 5000 + "A < B").axioms[0].body
+    depth = 0
+    while isinstance(body, Exists):
+        body, depth = body.filler, depth + 1
+    assert (depth, body) == (5000, C("A"))
+
+
 # -- the reader against an independent reference ------------------------------
 #
 # The character-loop reader that the token-pattern reader replaced, kept
 # here as a referee: a recursive descent over tokens found one character at
-# a time, with its own name pattern and its own end checks.
+# a time, with its own name pattern and its own end checks. A conjunction
+# stays a list of its terms until the line is read, so a head such as
+# `B & B` is rejected by its shape before it builds to the node B.
 
 _REF_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _REF_RESERVED = {"bot", "some", "inv"}
@@ -186,7 +201,7 @@ def _ref_parse_term(tk):
     if value == "some":
         role = _ref_parse_role(tk)
         tk.next(".")
-        return Exists(role, _ref_parse_term(tk))
+        return Exists(role, _ref_node(_ref_parse_term(tk)))
     if value == "inv":
         raise ParseError("inv(...) is a role, not a concept", line=tk.lineno, col=col)
     if value in _REF_RESERVED:
@@ -199,7 +214,11 @@ def _ref_parse_concept(tk):
     while tk.peek()[0] == "&":
         tk.next("&")
         parts.append(_ref_parse_term(tk))
-    return parts[0] if len(parts) == 1 else Conj(tuple(parts))
+    return parts[0] if len(parts) == 1 else parts
+
+
+def _ref_node(term):
+    return Conj(tuple(map(_ref_node, term))) if isinstance(term, list) else term
 
 
 def _ref_parse_axiom_line(line_text, lineno):
@@ -227,13 +246,13 @@ def _ref_parse_axiom_line(line_text, lineno):
         tk.next()
         if not tk.done:
             raise ParseError("trailing input after bot", line=lineno, col=tk.peek()[2])
-        return NegativeInclusion(body)
+        return NegativeInclusion(_ref_node(body))
     head = _ref_parse_concept(tk)
     if not tk.done:
         raise ParseError("trailing input after axiom", line=lineno, col=tk.peek()[2])
     if not isinstance(head, ConceptName):
         raise RLViolation("inclusion head must be a single concept name", line=lineno)
-    return ConceptInclusion(body, head.name)
+    return ConceptInclusion(_ref_node(body), head.name)
 
 
 def _outcome(read):
@@ -253,6 +272,8 @@ _LINE_TOKENS = ["A", "B", "r", "some", "inv", "bot", "(", ")", "&", "<", ".", " 
 @given(st.lists(st.sampled_from(_LINE_TOKENS), min_size=1, max_size=12).map("".join))
 @example("some r . (A & B) & C < D")
 @example("((A)) < B")
+@example("A < B & B")
+@example("A & A < inv(r)")
 @example("(A & B < C")
 def test_the_reader_agrees_with_a_character_loop_reference(line):
     def reference():
@@ -270,18 +291,18 @@ def test_duplicate_axioms_collapse():
 # -- canonical form ----------------------------------------------------------
 
 def test_canonicalize_sorts_flattens_dedupes():
-    got = canonicalize(Conj((Conj((C("B"), C("A"))), Conj((C("B"), C("A"))))))
-    assert got == conj(C("A"), C("B"))
+    # Canonical as built: sorted, flat and deduplicated, one node per structure.
+    assert Conj((Conj((C("B"), C("A"))), Conj((C("B"), C("A"))))) is Conj((C("A"), C("B")))
 
 
 def test_canonicalize_recurses_into_fillers():
-    got = canonicalize(Exists(RoleName("R"), Conj((C("B"), C("A")))))
-    assert got == Exists(RoleName("R"), conj(C("A"), C("B")))
+    r = RoleName("R")
+    assert Exists(r, Conj((C("B"), C("A")))) is Exists(r, Conj((C("A"), C("B"))))
 
 
 def test_canonicalize_idempotent():
-    e = canonicalize(Conj((Exists(RoleInverse("r"), C("X")), Conj((C("A"), C("A"))))))
-    assert canonicalize(e) == e
+    e = Conj((Exists(RoleInverse("r"), C("X")), Conj((C("A"), C("A")))))
+    assert Conj(e.parts) is e
 
 
 def test_a_conjunction_is_one_flat_tuple_of_parts():
@@ -294,8 +315,8 @@ def test_canonicalize_flattens_conjunctions_nested_past_the_recursion_limit():
     nested = C("A0")
     for i in range(1, 2000):
         nested = Conj((C(f"A{i}"), nested))
-    want = canonicalize(Conj(tuple(C(f"A{i}") for i in range(2000))))
-    assert canonicalize(nested) == want and len(want.parts) == 2000
+    assert nested is Conj(tuple(C(f"A{i}") for i in range(2000)))
+    assert len(nested.parts) == 2000
 
 
 def _names():
@@ -316,7 +337,19 @@ def _concepts(depth=2):
 
 @given(_concepts(), _concepts())
 def test_canonicalize_commutative(a, b):
-    assert canonicalize(Conj((a, b))) == canonicalize(Conj((b, a)))
+    assert Conj((a, b)) is Conj((b, a))
+
+
+def test_a_finished_rewrite_leaves_the_live_node_table_as_it_found_it():
+    def rewrite():
+        tbox = parse_tbox("some R . B < B\nA & B < bot\nA & C < D\nD & some S . (E & F) < bot")
+        return len(unfold_negative_inclusions(tbox, 4).flattened_negatives)
+
+    gc.collect()
+    before = len(ontology._LIVE)
+    assert rewrite() == 7
+    gc.collect()
+    assert len(ontology._LIVE) == before
 
 
 # -- round-trip --------------------------------------------------------------
@@ -344,8 +377,8 @@ def test_unfold_through_one_definition():
     ntbox = unfold_negative_inclusions(tbox, 2)
     assert ntbox.is_exact
     assert set(ntbox.flattened_negatives) == {
-        canonicalize(conj(C("D"), C("F"))),
-        canonicalize(conj(C("A"), C("C"), C("F"))),
+        conj(C("D"), C("F")),
+        conj(C("A"), C("C"), C("F")),
     }
     # Through a chain of two definitions the rewrite closes at depth 2.
     chain = parse_tbox("A & C < D\nB & D < E\nE & F < bot")
@@ -357,7 +390,7 @@ def test_unfold_through_one_definition():
 def test_unfold_nothing_to_do():
     ntbox = unfold_negative_inclusions(parse_tbox("A & B < bot"), 0)
     assert ntbox.is_exact
-    assert ntbox.flattened_negatives == (canonicalize(conj(C("A"), C("B"))),)
+    assert ntbox.flattened_negatives == (conj(C("A"), C("B")),)
     assert unfold_negative_inclusions(parse_tbox("A & C < bot"), 3).is_exact
 
 
@@ -371,7 +404,7 @@ def test_unfold_recursive_truncates():
         conj(C("A"), Exists(r, Exists(r, C("B")))),
         conj(C("A"), Exists(r, Exists(r, Exists(r, C("B"))))),
     }
-    assert set(ntbox.flattened_negatives) == {canonicalize(e) for e in expected}
+    assert set(ntbox.flattened_negatives) == expected
     assert not ntbox.is_exact
     assert not unfold_negative_inclusions(tbox, 5).is_exact
     # One truncated inclusion makes the whole rewrite inexact.
@@ -386,8 +419,8 @@ def test_unfold_role_definitions():
     ntbox = unfold_negative_inclusions(tbox, 2)
     assert ntbox.is_exact
     assert set(ntbox.flattened_negatives) == {
-        canonicalize(conj(C("A"), Exists(RoleName("Q"), C("B")))),
-        canonicalize(conj(C("A"), Exists(RoleName("P"), C("B")))),
+        conj(C("A"), Exists(RoleName("Q"), C("B"))),
+        conj(C("A"), Exists(RoleName("P"), C("B"))),
     }
 
 
@@ -406,9 +439,9 @@ def test_unfold_multiple_definitions_multiply():
     ntbox = unfold_negative_inclusions(tbox, 1)
     assert ntbox.is_exact
     assert set(ntbox.flattened_negatives) == {
-        canonicalize(conj(C("E"), C("F"))),
-        canonicalize(conj(C("A"), C("F"))),
-        canonicalize(conj(C("B"), C("F"))),
+        conj(C("E"), C("F")),
+        conj(C("A"), C("F")),
+        conj(C("B"), C("F")),
     }
 
 
@@ -445,5 +478,4 @@ def test_flattened_negatives_are_built_once():
     ntbox = unfold_negative_inclusions(parse_tbox("A < B\nB & C < bot\nA & C < bot"), 1)
     bodies = ntbox.flattened_negatives
     assert bodies is ntbox.flattened_negatives
-    assert bodies == (canonicalize(conj(C("A"), C("C"))),
-                      canonicalize(conj(C("B"), C("C"))))
+    assert bodies == (conj(C("A"), C("C")), conj(C("B"), C("C")))
